@@ -19,7 +19,6 @@ from .solver import (
     AbsorbingSystem,
     SolveReport,
     assemble,
-    solve_direct,
     solve_iterative,
 )
 from .walker import WalkStats, estimate_affinity, run_walks
@@ -59,7 +58,6 @@ __all__ = [
     "sample_power_law",
     "sample_seeds",
     "seed_resample_qualities",
-    "solve_direct",
     "solve_iterative",
     "transition_row",
     "write_edge_list",

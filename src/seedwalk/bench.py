@@ -77,7 +77,6 @@ def run_trial(
     cell_index: int,
     trial_index: int,
     master_seed: int,
-    solver_mode: str = "auto",
 ) -> TrialResult:
     """Generate, sample seeds, detect, assign, score. Failures are recorded,
     not raised, so a sweep cell can be marked incomplete."""
@@ -90,7 +89,7 @@ def run_trial(
     try:
         pg = generate(trial_params)
         seeds, _uncovered = sample_seeds(pg, sigma, seed_rng)
-        aff = detect_multi(pg.graph, seeds, solver_mode=solver_mode)
+        aff = detect_multi(pg.graph, seeds)
         q = membership_quality(pg, assign_crisp(aff))
         err = None
     except SeedwalkError as exc:
@@ -108,8 +107,8 @@ def run_trial(
 
 
 def _trial_task(args) -> tuple[int, TrialResult]:
-    cell_index, trial_index, params, sigma, master_seed, solver_mode = args
-    return cell_index, run_trial(params, sigma, cell_index, trial_index, master_seed, solver_mode)
+    cell_index, trial_index, params, sigma, master_seed = args
+    return cell_index, run_trial(params, sigma, cell_index, trial_index, master_seed)
 
 
 def run_sweep(
@@ -117,7 +116,6 @@ def run_sweep(
     trials: int,
     rng_seed: int,
     jobs: int = 1,
-    solver_mode: str = "auto",
 ) -> tuple[list[TrialResult], list[CellSummary]]:
     """All trials for every (params, sigma) cell, optionally in parallel.
 
@@ -128,14 +126,17 @@ def run_sweep(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     tasks = [
-        (ci, ti, params, sigma, rng_seed, solver_mode)
+        (ci, ti, params, sigma, rng_seed)
         for ci, (params, sigma) in enumerate(cells)
         for ti in range(trials)
     ]
     by_cell: dict[int, list[TrialResult]] = {ci: [] for ci in range(len(cells))}
     if jobs > 1 and len(tasks) > 1:
+        # one trial per hand-out: trial cost is heavy-tailed (a generation
+        # retry can cost ten median trials), so coarser chunks leave a worker
+        # idle behind the slowest chunk
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for ci, result in pool.map(_trial_task, tasks, chunksize=4):
+            for ci, result in pool.map(_trial_task, tasks, chunksize=1):
                 by_cell[ci].append(result)
     else:
         for task in tasks:
@@ -168,10 +169,10 @@ def _summarize(params: LfrParams, sigma: float, cell_results: list[TrialResult])
 
 
 def _resample_task(args) -> float:
-    pg, sigma, run_index, master_seed, solver_mode = args
+    pg, sigma, run_index, master_seed = args
     rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(run_index,)))
     seeds, _ = sample_seeds(pg, sigma, rng)
-    aff = detect_multi(pg.graph, seeds, solver_mode=solver_mode)
+    aff = detect_multi(pg.graph, seeds)
     return membership_quality(pg, assign_crisp(aff))
 
 
@@ -181,12 +182,11 @@ def seed_resample_qualities(
     runs: int,
     rng_seed: int,
     jobs: int = 1,
-    solver_mode: str = "auto",
 ) -> list[float]:
     """Q for repeated random seed choices on one fixed graph."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    tasks = [(pg, sigma, i, rng_seed, solver_mode) for i in range(runs)]
+    tasks = [(pg, sigma, i, rng_seed) for i in range(runs)]
     if jobs > 1 and runs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_resample_task, tasks, chunksize=8))

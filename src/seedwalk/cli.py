@@ -6,7 +6,7 @@ All randomness flows from --rng-seed.
 
 Exit codes: 0 success, 1 input parse error, 2 reachability failure,
 3 solver non-convergence, 4 infeasible generation parameters,
-5 verify-gap violation, 64 usage error.
+5 verify-gap violation, 64 usage error (argparse's own errors included).
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def cmd_detect(args) -> int:
     except (ParseError, OSError) as exc:
         return _fail(EXIT_PARSE, str(exc))
     try:
-        aff = detect_multi(g, seeds, solver_mode=args.solver, tol=args.tol)
+        aff = detect_multi(g, seeds, tol=args.tol)
     except ReachabilityError as exc:
         labels = ", ".join(g.labels[v] for v in exc.unreachable[:20])
         return _fail(EXIT_REACHABILITY, f"nodes unreachable from the seed set: {labels}")
@@ -80,16 +80,17 @@ def cmd_detect(args) -> int:
         write_affinity_csv(aff, g, fh)
     with open(crisp_path, "w", encoding="utf-8") as fh:
         write_crisp_csv(aff, g, fh)
-    extra = {"inputs": [str(args.edges), str(args.seeds)], "outputs": [str(affinity_path), str(crisp_path)]}
-    if aff.reports is not None:
-        extra["solver_iterations"] = [r.iterations for r in aff.reports]
-        extra["solver_residuals"] = [r.relative_residual for r in aff.reports]
+    extra = {
+        "inputs": [str(args.edges), str(args.seeds)],
+        "outputs": [str(affinity_path), str(crisp_path)],
+        "solver_iterations": [r.iterations for r in aff.reports],
+        "solver_residuals": [r.relative_residual for r in aff.reports],
+    }
     _write_manifest(Path(prefix + ".manifest.json"), "detect", args, extra)
     if args.verbose:
         print(f"{g.n} nodes, {g.m} edges, {len(seeds)} seeds, {seeds.l} communities")
-        if aff.reports is not None:
-            for i, r in enumerate(aff.reports):
-                print(f"community {i}: {r.iterations} iterations, residual {r.relative_residual:.3e}")
+        for i, r in enumerate(aff.reports):
+            print(f"community {i}: {r.iterations} iterations, residual {r.relative_residual:.3e}")
     return EXIT_OK
 
 
@@ -157,7 +158,7 @@ def cmd_verify(args) -> int:
         return _fail(EXIT_USAGE, f"node {args.node!r} is a seed; pick a non-seed node")
     try:
         chain = build_chain(g, seeds.ids)
-        aff = detect_multi(g, seeds, solver_mode=args.solver, tol=args.tol)
+        aff = detect_multi(g, seeds, tol=args.tol)
     except ReachabilityError as exc:
         labels = ", ".join(g.labels[v] for v in exc.unreachable[:20])
         return _fail(EXIT_REACHABILITY, f"nodes unreachable from the seed set: {labels}")
@@ -197,6 +198,8 @@ def cmd_sweep(args) -> int:
         return _fail(EXIT_USAGE, "--mu and --sigma must be nonempty")
     if any(not 0 < s <= 1 for s in sigmas):
         return _fail(EXIT_USAGE, "every sigma must lie in (0, 1]")
+    if any(lfr.seed_count(s, args.n) < 1 for s in sigmas):
+        return _fail(EXIT_USAGE, f"every sigma must give at least one seed among {args.n} nodes")
     cells = []
     for mu in mus:
         params = LfrParams(
@@ -218,9 +221,7 @@ def cmd_sweep(args) -> int:
         for sigma in sigmas:
             cells.append((params, sigma))
 
-    results, summaries = bench.run_sweep(
-        cells, args.trials, args.rng_seed, jobs=args.jobs, solver_mode=args.solver
-    )
+    results, summaries = bench.run_sweep(cells, args.trials, args.rng_seed, jobs=args.jobs)
     out = Path(args.out)
     with open(out, "w", encoding="utf-8") as fh:
         bench.write_results_csv(summaries, fh)
@@ -261,9 +262,9 @@ def cmd_histogram(args) -> int:
         pg = lfr.load_planted(args.edges, args.truth)
     except (ParseError, OSError) as exc:
         return _fail(EXIT_PARSE, str(exc))
-    qualities = bench.seed_resample_qualities(
-        pg, args.sigma, args.runs, args.rng_seed, jobs=args.jobs, solver_mode=args.solver
-    )
+    if lfr.seed_count(args.sigma, pg.graph.n) < 1:
+        return _fail(EXIT_USAGE, f"--sigma must give at least one seed among {pg.graph.n} nodes")
+    qualities = bench.seed_resample_qualities(pg, args.sigma, args.runs, args.rng_seed, jobs=args.jobs)
     bins = bench.histogram(qualities, args.bins)
     out = Path(args.out)
     with open(out, "w", encoding="utf-8") as fh:
@@ -278,10 +279,8 @@ def cmd_histogram(args) -> int:
     return EXIT_OK
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--solver", choices=("auto", "direct", "iterative"), default="auto",
-                   help="linear solver: dense factorization, preconditioned CG, or size-based choice")
-    p.add_argument("--tol", type=float, default=1e-8, help="iterative relative-residual tolerance")
+def _add_tol_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tol", type=float, default=1e-8, help="solver relative-residual tolerance")
 
 
 def _add_lfr_flags(p: argparse.ArgumentParser, mu_list: bool) -> None:
@@ -310,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("edges", help="edge list: two whitespace-separated labels per line, '#' comments")
     p.add_argument("seeds", help="seed file: `node community affinity` per line")
     p.add_argument("--out", required=True, help="output prefix (writes .affinity.csv, .crisp.csv)")
-    _add_solver_flags(p)
+    _add_tol_flag(p)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_detect)
 
@@ -327,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--walks", type=int, default=100_000)
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--step-cap", type=int, default=walker.DEFAULT_STEP_CAP)
-    _add_solver_flags(p)
+    _add_tol_flag(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="quality-vs-parameters grid of benchmark trials")
@@ -337,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="parallel trial workers")
     p.add_argument("--out", required=True, help="results CSV path")
-    _add_solver_flags(p)
+    _add_tol_flag(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("histogram", help="Q distribution over seed re-samples on one graph")
@@ -349,14 +348,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out", required=True, help="histogram CSV path")
-    _add_solver_flags(p)
+    _add_tol_flag(p)
     p.set_defaults(func=cmd_histogram)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 after printing its error, but 2 means unreachable
+        # nodes here; --help exits 0
+        return EXIT_USAGE if exc.code else EXIT_OK
     return args.func(args)
 
 

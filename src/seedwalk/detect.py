@@ -17,8 +17,6 @@ from .graph import Graph
 from .markov import build_chain
 from .seeds import SeedSet
 
-SOLVER_MODES = ("auto", "direct", "iterative")
-
 
 class AffinityMatrix:
     """Per-node affinity vectors: computed rows for transient nodes, the
@@ -61,31 +59,20 @@ class AffinityMatrix:
 def detect_multi(
     g: Graph,
     seeds: SeedSet,
-    solver_mode: str = "auto",
     tol: float = solver.DEFAULT_TOL,
     max_iter: int | None = None,
 ) -> AffinityMatrix:
     """Affinity vectors for all non-seed nodes, one solve per community.
 
-    The system is assembled and factorized/preconditioned once; the l
-    right-hand sides reuse it. Raises ReachabilityError if some node cannot
-    reach a seed, ConvergenceError if the iterative solver runs out of
-    budget.
+    The system is assembled and preconditioned once; the l right-hand
+    sides reuse it. Raises ReachabilityError if some node cannot reach a
+    seed, ConvergenceError if the solver runs out of budget.
     """
-    if solver_mode not in SOLVER_MODES:
-        raise ValueError(f"solver_mode must be one of {SOLVER_MODES}")
     chain = build_chain(g, seeds.ids)
     system = solver.assemble(chain, seeds)
-    mode = solver_mode
-    if mode == "auto":
-        mode = "direct" if system.dim <= solver.DENSE_CAP else "iterative"
-    reports = None
-    if mode == "direct":
-        X = solver.solve_direct_all(system)
-    else:
-        X, reports = solver.solve_iterative_all(system, tol=tol, max_iter=max_iter)
-        if not all(r.converged for r in reports):
-            raise ConvergenceError(reports)
+    X, reports = solver.solve_iterative_all(system, tol=tol, max_iter=max_iter)
+    if not all(r.converged for r in reports):
+        raise ConvergenceError(reports)
     return AffinityMatrix(
         transient_ids=chain.transient,
         rows=X,
@@ -98,14 +85,13 @@ def detect_multi(
 def detect_single(
     g: Graph,
     seeds: SeedSet,
-    solver_mode: str = "auto",
     tol: float = solver.DEFAULT_TOL,
     max_iter: int | None = None,
 ) -> AffinityMatrix:
     """Single-community case (l must be 1)."""
     if seeds.l != 1:
         raise ValueError(f"detect_single requires l=1 seed affinities, got l={seeds.l}")
-    return detect_multi(g, seeds, solver_mode=solver_mode, tol=tol, max_iter=max_iter)
+    return detect_multi(g, seeds, tol=tol, max_iter=max_iter)
 
 
 def assign_crisp(aff: AffinityMatrix) -> dict[int, int]:
@@ -121,10 +107,9 @@ def write_affinity_csv(aff: AffinityMatrix, g: Graph, stream: IO[str]) -> None:
     """One row per node: label then clamped affinities at 9 significant digits."""
     header = "node," + ",".join(f"c{i}" for i in range(aff.l))
     stream.write(header + "\n")
-    rows = aff.clamped_rows()
-    for v in range(aff.n):
-        vals = ",".join(f"{x:.9g}" for x in rows[v])
-        stream.write(f"{g.labels[v]},{vals}\n")
+    row_format = "%s" + ",%.9g" * aff.l + "\n"
+    for label, row in zip(g.labels, aff.clamped_rows().tolist()):
+        stream.write(row_format % (label, *row))
 
 
 def write_crisp_csv(aff: AffinityMatrix, g: Graph, stream: IO[str]) -> None:

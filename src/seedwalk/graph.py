@@ -7,8 +7,9 @@ and safe for concurrent reads.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -127,6 +128,16 @@ class Graph:
                 raise ValueError("adjacency not symmetric")
 
 
+@contextmanager
+def open_utf8(path: str | Path) -> Iterator[IO[str]]:
+    """Open a text file for parsing; bytes that are not UTF-8 raise ParseError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_edge_list(source: str | Path | IO[str] | Iterable[str]) -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
@@ -136,7 +147,7 @@ def load_edge_list(source: str | Path | IO[str] | Iterable[str]) -> Graph:
     graph); self-loops and malformed lines raise ParseError.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open_utf8(source) as fh:
             return load_edge_list(fh)
 
     label_ids: dict[str, int] = {}

@@ -19,7 +19,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import GenerationError, ParseError
-from .graph import Graph, load_edge_list
+from .graph import Graph, load_edge_list, open_utf8
 from .seeds import SeedSet
 
 _MAX_ATTEMPTS = 30
@@ -412,6 +412,11 @@ def _match_stubs(stubs, edges, rng, member=None, keep_forbidden=False) -> tuple[
     return dropped, kept
 
 
+def seed_count(sigma: float, n: int) -> int:
+    """Seeds drawn for fraction sigma of n nodes: sigma * n rounded half up."""
+    return int(sigma * n + 0.5)
+
+
 def sample_seeds(pg: PlantedGraph, sigma: float, rng: np.random.Generator) -> tuple[SeedSet, list[int]]:
     """Uniform seed subset of size round(sigma * n) with indicator affinities.
 
@@ -422,7 +427,7 @@ def sample_seeds(pg: PlantedGraph, sigma: float, rng: np.random.Generator) -> tu
     if not 0 < sigma <= 1:
         raise ValueError(f"sigma={sigma} outside (0, 1]")
     n = pg.graph.n
-    count = int(sigma * n + 0.5)
+    count = seed_count(sigma, n)
     if count < 1:
         raise ValueError("sigma too small: no seeds")
     ncomm = pg.n_communities
@@ -462,7 +467,7 @@ def load_planted(edge_source, truth_source: str | Path | IO[str] | Iterable[str]
     """Rebuild a PlantedGraph from an edge list plus a ground-truth file."""
     g = edge_source if isinstance(edge_source, Graph) else load_edge_list(edge_source)
     if isinstance(truth_source, (str, Path)):
-        with open(truth_source, "r", encoding="utf-8") as fh:
+        with open_utf8(truth_source) as fh:
             return load_planted(g, fh)
     membership = np.full(g.n, -1, dtype=np.int64)
     for lineno, raw in enumerate(truth_source, start=1):

@@ -8,7 +8,7 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ParseError
-from .graph import Graph
+from .graph import Graph, open_utf8
 
 
 class SeedSet:
@@ -66,7 +66,7 @@ def load_seed_file(source: str | Path | IO[str] | Iterable[str], g: Graph) -> Se
     communities get affinity 0. Community indices must be dense 0..l-1.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open_utf8(source) as fh:
             return load_seed_file(fh, g)
 
     triples: dict[tuple[int, int], float] = {}

@@ -3,8 +3,9 @@
 D is the diagonal of original-graph degrees of the transient nodes, A the
 adjacency of the transient-induced subgraph. The right-hand side for
 community i collapses to, per transient node, the affinity-weighted count
-of its seed neighbors. One matrix serves all l communities: the dense
-factorization (or the Jacobi preconditioner) is built once and reused.
+of its seed neighbors. One matrix and one Jacobi preconditioner serve all l
+communities; the right-hand sides are solved by conjugate gradient in
+blocks of BLOCK columns.
 """
 
 from __future__ import annotations
@@ -12,15 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .errors import SeedwalkError
 from .markov import AbsorbingChain
 from .seeds import SeedSet
 
-DENSE_CAP = 2000
 DEFAULT_TOL = 1e-8
+# right-hand sides solved together: wide enough to amortize the sparse
+# matvec's pass over the matrix, small enough to bound working memory at
+# O(dim * BLOCK) whatever the number of communities
+BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,7 @@ class SolveReport:
 class AbsorbingSystem:
     """The assembled system: diag, transient-subgraph adjacency, all l RHS."""
 
-    __slots__ = ("chain", "dim", "diag", "sub_offsets", "sub_targets", "rhs", "_matrix", "_lu")
+    __slots__ = ("chain", "dim", "diag", "sub_offsets", "sub_targets", "rhs", "_matrix")
 
     def __init__(self, chain, dim, diag, sub_offsets, sub_targets, rhs):
         self.chain = chain
@@ -45,7 +48,6 @@ class AbsorbingSystem:
         self.sub_targets = sub_targets
         self.rhs = rhs
         self._matrix = None
-        self._lu = None
 
     @property
     def communities(self) -> int:
@@ -109,47 +111,6 @@ def assemble(chain: AbsorbingChain, affinities: SeedSet) -> AbsorbingSystem:
     return AbsorbingSystem(chain, tau, diag, sub_offsets, sub_targets.astype(np.int64), rhs)
 
 
-def _dense_lu(system: AbsorbingSystem):
-    if system._lu is None:
-        dense = system.matrix().toarray()
-        system._lu = scipy.linalg.lu_factor(dense)
-    return system._lu
-
-
-def solve_direct(system: AbsorbingSystem, community: int) -> np.ndarray:
-    """Exact solve of one community's system by dense LU (tau <= DENSE_CAP)."""
-    if system.dim > DENSE_CAP:
-        raise ValueError(f"dim {system.dim} exceeds the dense cap {DENSE_CAP}")
-    b = system.rhs[:, community]
-    if system.dim == 0:
-        return np.empty(0)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(system.dim)
-    x = scipy.linalg.lu_solve(_dense_lu(system), b)
-    resid = np.linalg.norm(system.matrix() @ x - b)
-    if resid > 1e-10 * bnorm:
-        raise SeedwalkError(f"direct solve residual {resid:.3e} exceeds 1e-10 * |rhs|")
-    return x
-
-
-def solve_direct_all(system: AbsorbingSystem) -> np.ndarray:
-    """All communities at once against the single cached factorization."""
-    if system.dim > DENSE_CAP:
-        raise ValueError(f"dim {system.dim} exceeds the dense cap {DENSE_CAP}")
-    if system.dim == 0:
-        return np.empty((0, system.communities))
-    X = np.zeros_like(system.rhs)
-    bnorm = np.linalg.norm(system.rhs, axis=0)
-    nz = np.flatnonzero(bnorm > 0)
-    if nz.size:
-        X[:, nz] = scipy.linalg.lu_solve(_dense_lu(system), system.rhs[:, nz])
-        resid = np.linalg.norm(system.matrix() @ X[:, nz] - system.rhs[:, nz], axis=0)
-        if (resid > 1e-10 * bnorm[nz]).any():
-            raise SeedwalkError("direct solve residual exceeds 1e-10 * |rhs|")
-    return X
-
-
 def solve_iterative(
     system: AbsorbingSystem,
     community: int,
@@ -172,10 +133,12 @@ def solve_iterative_all(
     max_iter: int | None = None,
     columns=None,
 ) -> tuple[np.ndarray, list[SolveReport]]:
-    """PCG over many right-hand sides with batched matvecs.
+    """PCG over many right-hand sides, BLOCK columns at a time.
 
-    Columns are mathematically independent (per-column step sizes), so
-    results match one-at-a-time solves; converged columns freeze early.
+    Columns are mathematically and numerically independent (per-column
+    step sizes, per-column sums in a fixed order), so every column is
+    bit-identical to its one-at-a-time solve; converged columns freeze
+    early. A zero right-hand side short-circuits to the zero vector.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -188,36 +151,53 @@ def solve_iterative_all(
 
     L = system.matrix()
     inv_diag = 1.0 / system.diag
-    bnorm = np.linalg.norm(B, axis=0)
+    bnorm = _colnorm(B)
     X = np.zeros_like(B)
     used = np.zeros(ncol, dtype=np.int64)
+    rel = np.zeros(ncol)
+    live = np.flatnonzero(bnorm > 0)
+    for start in range(0, live.size, BLOCK):
+        cols = live[start : start + BLOCK]
+        X[:, cols], used[cols], rel[cols] = _solve_block(L, inv_diag, B[:, cols], bnorm[cols], tol, max_iter)
+    reports = [SolveReport(int(used[j]), float(rel[j]), bool(rel[j] <= tol)) for j in range(ncol)]
+    return X, reports
 
-    # zero rhs short-circuits to the zero vector
-    pending = np.flatnonzero(bnorm > 0)
+
+def _solve_block(L, inv_diag, B, bnorm, tol, max_iter):
+    """Solve one block of nonzero right-hand sides.
+
+    Returns the solutions, per-column iteration counts and final true
+    relative residuals ||(D-A)x - b|| / ||b||.
+    """
+    X = np.zeros_like(B)
+    used = np.zeros(B.shape[1], dtype=np.int64)
+    rel = np.zeros(B.shape[1])
+    pending = np.arange(B.shape[1])
     # a few restart rounds catch columns whose recursive residual stopped
     # short of the true one (rare)
     for _ in range(4):
         if pending.size == 0:
             break
-        it = _pcg_core(L, inv_diag, B, X, tol * bnorm, max_iter - used, pending)
-        used += it
-        true_rel = _true_relative_residual(L, X, B, bnorm, pending)
-        pending = pending[(true_rel > tol) & (used[pending] < max_iter)]
-
-    final_rel = np.zeros(ncol)
-    nz = np.flatnonzero(bnorm > 0)
-    if nz.size:
-        final_rel[nz] = _true_relative_residual(L, X, B, bnorm, nz)
-    reports = [
-        SolveReport(int(used[j]), float(final_rel[j]), bool(final_rel[j] <= tol))
-        for j in range(ncol)
-    ]
-    return X, reports
+        used += _pcg_core(L, inv_diag, B, X, tol * bnorm, max_iter - used, pending)
+        rel[pending] = _colnorm(B[:, pending] - L @ X[:, pending]) / bnorm[pending]
+        pending = pending[(rel[pending] > tol) & (used[pending] < max_iter)]
+    return X, used, rel
 
 
-def _true_relative_residual(L, X, B, bnorm, cols) -> np.ndarray:
-    r = B[:, cols] - L @ X[:, cols]
-    return np.linalg.norm(r, axis=0) / bnorm[cols]
+def _coldot(A, B) -> np.ndarray:
+    """Per-column dot products, each summed row by row in order.
+
+    numpy sums the columns of a 2-D array that way once there are two or
+    more, but a lone column gets pairwise summation; summing it explicitly
+    keeps a column's result independent of how many columns share its block.
+    """
+    if A.shape[1] == 1:
+        return np.cumsum(A[:, 0] * B[:, 0])[-1:]
+    return np.einsum("ij,ij->j", A, B)
+
+
+def _colnorm(A) -> np.ndarray:
+    return np.sqrt(_coldot(A, A))
 
 
 def _pcg_core(L, inv_diag, B, X, thresholds, budget, cols) -> np.ndarray:
@@ -233,12 +213,12 @@ def _pcg_core(L, inv_diag, B, X, thresholds, budget, cols) -> np.ndarray:
     Rw = B[:, alive] - L @ Xw
     Zw = inv_diag[:, None] * Rw
     Pw = Zw.copy()
-    rzw = np.einsum("ij,ij->j", Rw, Zw)
+    rzw = _coldot(Rw, Zw)
     thw = thresholds[alive]
     remw = budget[alive].copy()
 
     # already satisfied columns exit immediately
-    rn = np.linalg.norm(Rw, axis=0)
+    rn = _colnorm(Rw)
     done = rn <= thw
     if done.any():
         X[:, alive[done]] = Xw[:, done]
@@ -247,7 +227,7 @@ def _pcg_core(L, inv_diag, B, X, thresholds, budget, cols) -> np.ndarray:
 
     while alive.size:
         Ap = L @ Pw
-        pAp = np.einsum("ij,ij->j", Pw, Ap)
+        pAp = _coldot(Pw, Ap)
         with np.errstate(divide="ignore", invalid="ignore"):
             alpha = np.where(pAp > 0.0, rzw / pAp, 0.0)
         Xw += alpha * Pw
@@ -255,7 +235,7 @@ def _pcg_core(L, inv_diag, B, X, thresholds, budget, cols) -> np.ndarray:
         used[alive] += 1
         remw -= 1
 
-        rn = np.linalg.norm(Rw, axis=0)
+        rn = _colnorm(Rw)
         done = (rn <= thw) | (remw <= 0) | (pAp <= 0.0)
         if done.any():
             X[:, alive[done]] = Xw[:, done]
@@ -265,7 +245,7 @@ def _pcg_core(L, inv_diag, B, X, thresholds, budget, cols) -> np.ndarray:
                 break
 
         Zw = inv_diag[:, None] * Rw
-        rz_new = np.einsum("ij,ij->j", Rw, Zw)
+        rz_new = _coldot(Rw, Zw)
         with np.errstate(divide="ignore", invalid="ignore"):
             beta = np.where(rzw > 0.0, rz_new / rzw, 0.0)
         Pw = Zw + beta * Pw

@@ -23,9 +23,9 @@ from seedwalk import (
     sample_seeds,
 )
 from seedwalk.cli import main
-from seedwalk.solver import assemble, solve_direct_all, solve_iterative_all
+from seedwalk.solver import assemble, solve_iterative_all
 
-from conftest import FIG_EDGES, FIG_SEEDS, path_graph, random_connected_graph
+from conftest import FIG_EDGES, FIG_SEEDS, dense_absorption_oracle, path_graph, random_connected_graph
 
 
 def _report(name: str) -> None:
@@ -48,11 +48,9 @@ def test_criterion_2_gamblers_ruin_closed_form(k):
     g = path_graph(k)
     seeds = SeedSet({g.id_of("s"): [1.0], g.id_of("t"): [0.0]})
     expected = np.array([1 - i / (k + 1) for i in range(1, k + 1)])
-    direct = detect_single(g, seeds, solver_mode="direct")
-    iterative = detect_single(g, seeds, solver_mode="iterative", tol=1e-10)
-    for aff in (direct, iterative):
-        got = np.array([aff.row_for(g.id_of(f"v{i}"))[0] for i in range(1, k + 1)])
-        assert np.abs(got - expected).max() <= 1e-8
+    aff = detect_single(g, seeds, tol=1e-10)
+    got = np.array([aff.row_for(g.id_of(f"v{i}"))[0] for i in range(1, k + 1)])
+    assert np.abs(got - expected).max() <= 1e-8
     if k == 100:
         _report("2 (gambler's-ruin closed form)")
 
@@ -71,10 +69,10 @@ def test_criterion_3_oracle_equivalence():
         )
         chain = build_chain(g, seeds.ids)
         system = assemble(chain, seeds)
-        direct = solve_direct_all(system)
+        _, oracle = dense_absorption_oracle(g, seeds.ids, seeds.rows)
         iterative, reports = solve_iterative_all(system)
         assert all(r.converged for r in reports)
-        assert np.abs(direct - iterative).max() <= 1e-6
+        assert np.abs(oracle - iterative).max() <= 1e-6
 
         sample = rng.choice(chain.tau, size=min(10, chain.tau), replace=False)
         for t_idx in sample:
@@ -82,7 +80,7 @@ def test_criterion_3_oracle_equivalence():
             stats = run_walks(chain, v, walks=100_000, rng_seed=graph_idx * 1000 + v)
             for i in range(2):
                 est = estimate_affinity(stats, seeds, i)
-                assert abs(direct[t_idx, i] - est) <= 0.01
+                assert abs(oracle[t_idx, i] - est) <= 0.01
                 assert abs(iterative[t_idx, i] - est) <= 0.01
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0

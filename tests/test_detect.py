@@ -139,7 +139,7 @@ def test_iteration_budget_exhaustion_raises():
     ids = np.sort(rng.choice(g.n, size=10, replace=False))
     seeds = SeedSet({int(v): [1.0] for v in ids})
     with pytest.raises(ConvergenceError):
-        detect_multi(g, seeds, solver_mode="iterative", max_iter=1)
+        detect_multi(g, seeds, max_iter=1)
 
 
 def test_affinity_entries_near_unit_interval():
@@ -179,6 +179,21 @@ def test_affinity_csv_format(fig_graph, fig_seeds):
     by_node = {line.split(",")[0]: line for line in lines[1:]}
     assert by_node["v"] == "v,0.333333333,0.666666667"
     assert by_node["s1"] == "s1,1,0"
+
+
+def test_affinity_csv_bytes_match_per_value_formatting():
+    g = path_graph(3)
+    rng = np.random.default_rng(67)
+    rows = np.array([[0.0, 1.0, 1e-12], [-3e-7, 1.0000002, 1 / 3], rng.random(3)])
+    aff = AffinityMatrix(np.array([1, 2, 3]), rows, np.array([0, 4]), np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]]))
+    buf = io.StringIO()
+    write_affinity_csv(aff, g, buf)
+    clamped = np.clip(aff.full_rows(), 0.0, 1.0)
+    expected = "node,c0,c1,c2\n" + "".join(
+        g.labels[v] + "," + ",".join(f"{x:.9g}" for x in clamped[v]) + "\n" for v in range(g.n)
+    )
+    assert buf.getvalue() == expected
+    assert "v1,0,1,1e-12\n" in expected and "v2,0,1,0.333333333\n" in expected
 
 
 def test_crisp_csv_format(fig_graph, fig_seeds):

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from seedwalk import SeedSet, build_chain, load_edge_list
-from seedwalk.solver import (
-    DENSE_CAP,
-    assemble,
-    solve_direct,
-    solve_direct_all,
-    solve_iterative,
-    solve_iterative_all,
-)
+from seedwalk.solver import BLOCK, assemble, solve_iterative, solve_iterative_all
 
 from conftest import dense_absorption_oracle, path_graph, random_connected_graph
 
@@ -56,17 +49,23 @@ def test_assemble_rejects_mismatched_seed_ids():
         assemble(chain, wrong)
 
 
+def _solve_exact(system, community):
+    x, report = solve_iterative(system, community, tol=1e-12)
+    assert report.converged
+    return x
+
+
 def test_direct_gamblers_ruin():
     _, _, system = _path_system()
-    x = solve_direct(system, 0)
+    x = _solve_exact(system, 0)
     assert np.allclose(x, [0.75, 0.5, 0.25], atol=1e-12)
 
 
 def test_direct_fig_pair(fig_graph, fig_seeds):
     chain = build_chain(fig_graph, fig_seeds.ids)
     system = assemble(chain, fig_seeds)
-    x0 = solve_direct(system, 0)
-    x1 = solve_direct(system, 1)
+    x0 = _solve_exact(system, 0)
+    x1 = _solve_exact(system, 1)
     iv = chain.transient_index[fig_graph.id_of("v")]
     assert x0[iv] == pytest.approx(1 / 3, abs=1e-12)
     assert x1[iv] == pytest.approx(2 / 3, abs=1e-12)
@@ -76,15 +75,7 @@ def test_constant_seed_affinity_extends_as_ones():
     g, chain, _ = _path_system()
     seeds = SeedSet({g.id_of("s"): [1.0], g.id_of("t"): [1.0]})
     system = assemble(chain, seeds)
-    assert np.allclose(solve_direct(system, 0), 1.0, atol=1e-12)
-
-
-def test_dense_cap_enforced():
-    g = path_graph(DENSE_CAP + 10)
-    seeds = SeedSet({g.id_of("s"): [1.0], g.id_of("t"): [0.0]})
-    system = assemble(build_chain(g, seeds.ids), seeds)
-    with pytest.raises(ValueError, match="dense cap"):
-        solve_direct(system, 0)
+    assert np.allclose(_solve_exact(system, 0), 1.0, atol=1e-12)
 
 
 def test_iterative_matches_direct_on_random_graphs():
@@ -97,10 +88,28 @@ def test_iterative_matches_direct_on_random_graphs():
         seeds = SeedSet({int(v): rows[i] for i, v in enumerate(ids)})
         chain = build_chain(g, seeds.ids)
         system = assemble(chain, seeds)
-        direct = solve_direct_all(system)
+        _, oracle = dense_absorption_oracle(g, seeds.ids, seeds.rows)
         iterative, reports = solve_iterative_all(system)
         assert all(r.converged for r in reports)
-        assert np.abs(direct - iterative).max() <= 1e-6
+        assert np.abs(oracle - iterative).max() <= 1e-6
+
+
+def test_blocked_solve_matches_single_columns_bitwise():
+    # more than two blocks, a zero column and a partial last block: every
+    # column must equal its one-at-a-time solve bit for bit
+    rng = np.random.default_rng(31)
+    g = random_connected_graph(rng, 300)
+    ids = np.sort(rng.choice(g.n, size=30, replace=False))
+    rows = rng.random((ids.size, 2 * BLOCK + 7))
+    rows[:, BLOCK - 1] = 0.0
+    seeds = SeedSet({int(v): rows[i] for i, v in enumerate(ids)})
+    system = assemble(build_chain(g, seeds.ids), seeds)
+    X, reports = solve_iterative_all(system)
+    for j in range(system.communities):
+        x, report = solve_iterative(system, j)
+        assert np.array_equal(x, X[:, j])
+        assert report == reports[j]
+    assert reports[BLOCK - 1].iterations == 0
 
 
 def test_zero_rhs_short_circuits():
@@ -140,7 +149,7 @@ def test_maximum_principle():
     lo, hi = 0.3, 0.7
     seeds = SeedSet({int(v): [lo + (hi - lo) * rng.random()] for v in ids})
     system = assemble(build_chain(g, seeds.ids), seeds)
-    x = solve_direct(system, 0)
+    x = _solve_exact(system, 0)
     assert x.min() >= lo - 1e-9
     assert x.max() <= hi + 1e-9
 
@@ -153,7 +162,8 @@ def test_solution_matches_dense_oracle():
     seeds = SeedSet({int(v): rows[i] for i, v in enumerate(ids)})
     chain = build_chain(g, seeds.ids)
     system = assemble(chain, seeds)
-    x = solve_direct_all(system)
+    x, reports = solve_iterative_all(system, tol=1e-12)
+    assert all(r.converged for r in reports)
     t_nodes, expected = dense_absorption_oracle(g, seeds.ids, seeds.rows)
     assert t_nodes == chain.transient.tolist()
     assert np.abs(x - expected).max() <= 1e-9
