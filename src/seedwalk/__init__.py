@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .bench import CellSummary, TrialResult, histogram, quality, run_sweep, seed_resample_qualities
-from .detect import AffinityMatrix, assign_crisp, detect_multi, detect_single
+from .detect import AffinityMatrix, assign_crisp, detect_multi
 from .errors import (
     ConvergenceError,
     GenerationError,
@@ -13,14 +13,9 @@ from .errors import (
 )
 from .graph import Graph, check_seed_reachability, load_edge_list, write_edge_list
 from .lfr import LfrParams, PlantedGraph, generate, mixing_fraction, sample_power_law, sample_seeds
-from .markov import AbsorbingChain, build_chain, transition_row
+from .markov import AbsorbingChain, build_chain
 from .seeds import SeedSet, load_seed_file, write_seed_file
-from .solver import (
-    AbsorbingSystem,
-    SolveReport,
-    assemble,
-    solve_iterative,
-)
+from .solver import AbsorbingSystem, SolveReport, assemble
 from .walker import WalkStats, estimate_affinity, run_walks
 
 __all__ = [
@@ -45,7 +40,6 @@ __all__ = [
     "build_chain",
     "check_seed_reachability",
     "detect_multi",
-    "detect_single",
     "estimate_affinity",
     "generate",
     "histogram",
@@ -58,8 +52,6 @@ __all__ = [
     "sample_power_law",
     "sample_seeds",
     "seed_resample_qualities",
-    "solve_iterative",
-    "transition_row",
     "write_edge_list",
     "write_seed_file",
 ]

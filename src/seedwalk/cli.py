@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__, bench, lfr, walker
 from .detect import detect_multi, write_affinity_csv, write_crisp_csv
-from .errors import ConvergenceError, GenerationError, ParseError, ReachabilityError
+from .errors import ConvergenceError, GenerationError, ParseError, ReachabilityError, SeedwalkError
 from .graph import load_edge_list, write_edge_list
 from .lfr import LfrParams
 from .markov import build_chain
@@ -94,19 +94,24 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def cmd_generate(args) -> int:
-    params = LfrParams(
+def _lfr_params(args, mu: float) -> LfrParams:
+    """Generator parameters from the shared LFR flags, at mixing mu."""
+    return LfrParams(
         n=args.n,
         avg_k=args.avg_k,
         gamma=args.gamma,
         beta_exp=args.beta_exp,
-        mu=args.mu,
+        mu=mu,
         k_min=args.k_min,
         k_max=args.k_max,
         s_min=args.s_min,
         s_max=args.s_max,
         rng_seed=args.rng_seed,
     )
+
+
+def cmd_generate(args) -> int:
+    params = _lfr_params(args, args.mu)
     try:
         pg = lfr.generate(params)
     except GenerationError as exc:
@@ -145,6 +150,8 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     if args.walks < 1:
         return _fail(EXIT_USAGE, "--walks must be >= 1")
+    if args.step_cap < 1:
+        return _fail(EXIT_USAGE, "--step-cap must be >= 1")
     try:
         g = load_edge_list(args.edges)
         seeds = load_seed_file(args.seeds, g)
@@ -167,7 +174,11 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
 
-    stats = walker.run_walks(chain, node, args.walks, args.rng_seed, step_cap=args.step_cap)
+    try:
+        stats = walker.run_walks(chain, node, args.walks, args.rng_seed, step_cap=args.step_cap)
+    except SeedwalkError:
+        # build_chain proved every walk is absorbed, so only the cap can stop one
+        return _fail(EXIT_USAGE, f"a walk from {args.node!r} exceeded --step-cap {args.step_cap}; raise the cap")
     solved = aff.row_for(node)
     threshold = 4.0 * math.sqrt(0.25 / args.walks) + 1e-6
     worst = 0.0
@@ -202,18 +213,7 @@ def cmd_sweep(args) -> int:
         return _fail(EXIT_USAGE, f"every sigma must give at least one seed among {args.n} nodes")
     cells = []
     for mu in mus:
-        params = LfrParams(
-            n=args.n,
-            avg_k=args.avg_k,
-            gamma=args.gamma,
-            beta_exp=args.beta_exp,
-            mu=mu,
-            k_min=args.k_min,
-            k_max=args.k_max,
-            s_min=args.s_min,
-            s_max=args.s_max,
-            rng_seed=args.rng_seed,
-        )
+        params = _lfr_params(args, mu)
         try:
             params.validate()
         except GenerationError as exc:
@@ -336,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="parallel trial workers")
     p.add_argument("--out", required=True, help="results CSV path")
-    _add_tol_flag(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("histogram", help="Q distribution over seed re-samples on one graph")
@@ -348,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out", required=True, help="histogram CSV path")
-    _add_tol_flag(p)
     p.set_defaults(func=cmd_histogram)
 
     return parser

@@ -1,4 +1,4 @@
-"""Single- and multi-community detection: the user-facing model.
+"""Community detection: the user-facing model.
 
 The affinity of a non-seed node is the absorption-probability-weighted
 mix of the seed affinities, realized as one linear solve per community on
@@ -53,7 +53,13 @@ class AffinityMatrix:
         return np.clip(self.full_rows(), 0.0, 1.0)
 
     def row_for(self, node: int) -> np.ndarray:
-        return self.full_rows()[node]
+        """Raw affinity vector of one node."""
+        if not 0 <= node < self.n:
+            raise IndexError(f"node id {node} out of range [0, {self.n})")
+        i = np.searchsorted(self.seed_ids, node)
+        if i < self.seed_ids.size and self.seed_ids[i] == node:
+            return self.seed_rows[i].copy()
+        return self.rows[np.searchsorted(self.transient_ids, node)].copy()
 
 
 def detect_multi(
@@ -80,18 +86,6 @@ def detect_multi(
         seed_rows=seeds.rows.copy(),
         reports=reports,
     )
-
-
-def detect_single(
-    g: Graph,
-    seeds: SeedSet,
-    tol: float = solver.DEFAULT_TOL,
-    max_iter: int | None = None,
-) -> AffinityMatrix:
-    """Single-community case (l must be 1)."""
-    if seeds.l != 1:
-        raise ValueError(f"detect_single requires l=1 seed affinities, got l={seeds.l}")
-    return detect_multi(g, seeds, tol=tol, max_iter=max_iter)
 
 
 def assign_crisp(aff: AffinityMatrix) -> dict[int, int]:

@@ -79,30 +79,25 @@ class Graph:
         edges: Iterable[tuple[int, int]],
         labels: Sequence[str] | None = None,
     ) -> "Graph":
-        """Build a graph from (u, w) id pairs; duplicates are collapsed."""
-        seen: set[tuple[int, int]] = set()
-        dup = 0
-        for u, w in edges:
-            if u == w:
-                raise ValueError(f"self-loop on node {u}")
-            key = (u, w) if u < w else (w, u)
-            if key in seen:
-                dup += 1
-            else:
-                seen.add(key)
-        if seen:
-            pairs = np.array(sorted(seen), dtype=np.int64)
-            if pairs.min() < 0 or pairs.max() >= n:
-                raise ValueError("edge endpoint out of range")
-            both = np.concatenate([pairs, pairs[:, ::-1]])
-        else:
-            both = np.empty((0, 2), dtype=np.int64)
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        both = both[order]
-        counts = np.bincount(both[:, 0], minlength=n)
+        """Build a graph from (u, w) id pairs; duplicates are collapsed.
+
+        (u, w) and (w, u) are the same edge. Self-loops and endpoints outside
+        0..n-1 raise ValueError.
+        """
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        loops = pairs[:, 0] == pairs[:, 1]
+        if loops.any():
+            raise ValueError(f"self-loop on node {pairs[loops][0, 0]}")
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            raise ValueError("edge endpoint out of range")
+        lo, hi = np.sort(pairs, axis=1).T
+        keys = np.unique(lo * n + hi)
+        lo, hi = np.divmod(keys, n)
+        # every edge as two arcs, sorted by source then target
+        src, dst = np.divmod(np.sort(np.concatenate([keys, hi * n + lo])), n)
         offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return cls(offsets, both[:, 1].copy(), labels, duplicates_collapsed=dup)
+        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+        return cls(offsets, dst, labels, duplicates_collapsed=len(pairs) - keys.size)
 
     def validate(self) -> None:
         """Re-check the structural invariants; raises ValueError on violation."""
@@ -153,8 +148,6 @@ def load_edge_list(source: str | Path | IO[str] | Iterable[str]) -> Graph:
     label_ids: dict[str, int] = {}
     labels: list[str] = []
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    dup = 0
 
     def intern(lab: str) -> int:
         v = label_ids.get(lab)
@@ -174,19 +167,11 @@ def load_edge_list(source: str | Path | IO[str] | Iterable[str]) -> Graph:
         a, b = parts
         if a == b:
             raise ParseError(f"line {lineno}: self-loop on node {a!r}")
-        u, w = intern(a), intern(b)
-        key = (u, w) if u < w else (w, u)
-        if key in seen:
-            dup += 1
-        else:
-            seen.add(key)
-            edges.append(key)
+        edges.append((intern(a), intern(b)))
 
     if not edges:
         raise ParseError("empty edge list")
-    g = Graph.from_edges(len(labels), edges, labels)
-    g.duplicates_collapsed = dup
-    return g
+    return Graph.from_edges(len(labels), edges, labels)
 
 
 def write_edge_list(g: Graph, stream: IO[str]) -> None:

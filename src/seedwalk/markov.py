@@ -3,8 +3,8 @@
 A walk at a transient node moves to a uniformly random neighbor (degree taken
 in the original undirected graph); a walk at a seed never leaves. The implicit
 transition structure is the block matrix [[Q, R], [0, I]] over the
-transient/absorbing partition; Q and R are never materialized, consumers
-iterate rows.
+transient/absorbing partition. Q and R are not built here: the solver slices
+the adjacency rows of the transient nodes instead.
 """
 
 from __future__ import annotations
@@ -65,11 +65,3 @@ def build_chain(g: Graph, seeds: Iterable[int]) -> AbsorbingChain:
         raise ReachabilityError(unreachable.tolist())
     return AbsorbingChain(g, seed_arr)
 
-
-def transition_row(chain: AbsorbingChain, v: int) -> list[tuple[int, float]]:
-    """Out-transitions of transient node v: (neighbor, 1/deg(v)) per neighbor."""
-    if chain.is_seed(v):
-        raise ValueError(f"node {v} is absorbing; its row is the implicit identity")
-    nbrs = chain.graph.neighbors(v)
-    p = 1.0 / nbrs.size
-    return [(int(w), p) for w in nbrs]

@@ -1,11 +1,15 @@
-"""Assemble and solve the transient-subgraph system (D - A) x = D b.
+"""Assemble and solve the transient-subgraph system (D - A_TT) x = A_TS beta.
 
-D is the diagonal of original-graph degrees of the transient nodes, A the
-adjacency of the transient-induced subgraph. The right-hand side for
-community i collapses to, per transient node, the affinity-weighted count
-of its seed neighbors. One matrix and one Jacobi preconditioner serve all l
-communities; the right-hand sides are solved by conjugate gradient in
-blocks of BLOCK columns.
+With A the graph's adjacency matrix, T the transient nodes and S the seeds,
+the system is two slices of A's transient rows: D is their row sums (the
+original-graph degrees), A_TT the transient-induced subgraph, and A_TS beta
+sums, per transient node, the affinities of its seed neighbors. This is the
+harmonic-function system f_u = (D_uu - W_uu)^-1 W_ul f_l of
+Zhu-Ghahramani-Lafferty (2003). D - A_TT is symmetric and diagonally
+dominant (a row restricted to some columns has no more entries than the
+whole row), strictly so wherever a transient node borders a seed. One matrix
+and one Jacobi preconditioner serve all l communities; the right-hand sides
+are solved by conjugate gradient in blocks of BLOCK columns.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .errors import SeedwalkError
 from .markov import AbsorbingChain
 from .seeds import SeedSet
 
@@ -35,37 +38,31 @@ class SolveReport:
     converged: bool
 
 
+@dataclass(frozen=True)
 class AbsorbingSystem:
-    """The assembled system: diag, transient-subgraph adjacency, all l RHS."""
+    """The assembled system: sparse D - A_TT (the transient block of the graph
+    Laplacian), its diagonal D and all l right-hand sides."""
 
-    __slots__ = ("chain", "dim", "diag", "sub_offsets", "sub_targets", "rhs", "_matrix")
+    chain: AbsorbingChain
+    laplacian: scipy.sparse.csr_matrix
+    diag: np.ndarray
+    rhs: np.ndarray
 
-    def __init__(self, chain, dim, diag, sub_offsets, sub_targets, rhs):
-        self.chain = chain
-        self.dim = dim
-        self.diag = diag
-        self.sub_offsets = sub_offsets
-        self.sub_targets = sub_targets
-        self.rhs = rhs
-        self._matrix = None
+    @property
+    def dim(self) -> int:
+        return self.rhs.shape[0]
 
     @property
     def communities(self) -> int:
         return self.rhs.shape[1]
 
     def matrix(self) -> scipy.sparse.csr_matrix:
-        """Sparse D - A over the transient subgraph (cached)."""
-        if self._matrix is None:
-            off = scipy.sparse.csr_matrix(
-                (np.full(self.sub_targets.size, -1.0), self.sub_targets, self.sub_offsets),
-                shape=(self.dim, self.dim),
-            )
-            self._matrix = (scipy.sparse.diags(self.diag) + off).tocsr()
-        return self._matrix
+        """Sparse D - A_TT over the transient subgraph."""
+        return self.laplacian
 
 
 def assemble(chain: AbsorbingChain, affinities: SeedSet) -> AbsorbingSystem:
-    """Build diag, transient-subgraph adjacency, and the l right-hand sides.
+    """Slice D - A_TT and the l right-hand sides A_TS beta out of the adjacency.
 
     The SeedSet must cover exactly the chain's seeds. rhs[v, i] is the sum
     of beta_i(s) over seed neighbors s of transient node v.
@@ -73,78 +70,35 @@ def assemble(chain: AbsorbingChain, affinities: SeedSet) -> AbsorbingSystem:
     if not np.array_equal(affinities.ids, chain.seeds):
         raise ValueError("seed ids of the affinity set do not match the chain's seeds")
     g = chain.graph
-    tnodes = chain.transient
-    tau = tnodes.size
-    l = affinities.l
-    diag = (g.offsets[tnodes + 1] - g.offsets[tnodes]).astype(np.float64)
-
-    if tau == 0:
-        return AbsorbingSystem(
-            chain, 0, diag, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty((0, l))
-        )
-
-    # flatten all transient adjacency rows
-    starts = g.offsets[tnodes]
-    counts = (g.offsets[tnodes + 1] - starts).astype(np.int64)
-    total = int(counts.sum())
-    base = np.repeat(starts, counts)
-    step = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    nbrs = g.targets[base + step]
-    row_of = np.repeat(np.arange(tau, dtype=np.int64), counts)
-
-    abs_idx = chain.absorbing_index[nbrs]
-    seed_mask = abs_idx >= 0
-
-    rhs = np.zeros((tau, l))
-    np.add.at(rhs, row_of[seed_mask], affinities.rows[abs_idx[seed_mask]])
-
-    keep = ~seed_mask
-    sub_targets = chain.transient_index[nbrs[keep]]
-    sub_counts = np.bincount(row_of[keep], minlength=tau)
-    sub_offsets = np.zeros(tau + 1, dtype=np.int64)
-    np.cumsum(sub_counts, out=sub_offsets[1:])
-
-    # SDD by construction: transient-subgraph degree never exceeds the full degree
-    if (sub_counts > diag).any():
-        raise SeedwalkError("assembled system violates diagonal dominance")
-
-    return AbsorbingSystem(chain, tau, diag, sub_offsets, sub_targets.astype(np.int64), rhs)
-
-
-def solve_iterative(
-    system: AbsorbingSystem,
-    community: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int | None = None,
-) -> tuple[np.ndarray, SolveReport]:
-    """Jacobi-preconditioned CG on one community's right-hand side.
-
-    Stops when the true relative residual ||(D-A)x - b|| / ||b|| drops
-    below tol; on budget exhaustion the best iterate is returned with
-    converged=False.
-    """
-    X, reports = solve_iterative_all(system, tol=tol, max_iter=max_iter, columns=[community])
-    return X[:, 0], reports[0]
+    adjacency = scipy.sparse.csr_matrix((np.ones(g.targets.size), g.targets, g.offsets), shape=(g.n, g.n))
+    rows = adjacency[chain.transient]
+    diag = np.diff(rows.indptr).astype(np.float64)
+    laplacian = (scipy.sparse.diags(diag) - rows[:, chain.transient]).tocsr()
+    rhs = rows[:, chain.seeds] @ affinities.rows
+    return AbsorbingSystem(chain, laplacian, diag, rhs)
 
 
 def solve_iterative_all(
     system: AbsorbingSystem,
     tol: float = DEFAULT_TOL,
     max_iter: int | None = None,
-    columns=None,
 ) -> tuple[np.ndarray, list[SolveReport]]:
     """PCG over many right-hand sides, BLOCK columns at a time.
 
     Columns are mathematically and numerically independent (per-column
     step sizes, per-column sums in a fixed order), so every column is
-    bit-identical to its one-at-a-time solve; converged columns freeze
+    bit-identical to the solve of a system holding it alone; converged columns freeze
     early. A zero right-hand side short-circuits to the zero vector.
+
+    Each column stops when its true relative residual ||(D-A)x - b|| / ||b||
+    drops below tol; on budget exhaustion the best iterate is returned with
+    converged=False.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter is None:
         max_iter = 10 * system.dim + 100
-    B = system.rhs if columns is None else system.rhs[:, list(columns)]
+    B = system.rhs
     ncol = B.shape[1]
     if system.dim == 0:
         return np.empty((0, ncol)), [SolveReport(0, 0.0, True)] * ncol

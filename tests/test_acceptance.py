@@ -15,7 +15,6 @@ from seedwalk import (
     SeedSet,
     build_chain,
     detect_multi,
-    detect_single,
     estimate_affinity,
     generate,
     run_sweep,
@@ -48,7 +47,7 @@ def test_criterion_2_gamblers_ruin_closed_form(k):
     g = path_graph(k)
     seeds = SeedSet({g.id_of("s"): [1.0], g.id_of("t"): [0.0]})
     expected = np.array([1 - i / (k + 1) for i in range(1, k + 1)])
-    aff = detect_single(g, seeds, tol=1e-10)
+    aff = detect_multi(g, seeds, tol=1e-10)
     got = np.array([aff.row_for(g.id_of(f"v{i}"))[0] for i in range(1, k + 1)])
     assert np.abs(got - expected).max() <= 1e-8
     if k == 100:

@@ -110,6 +110,24 @@ def test_verify_gap_violation_exit_5(fig_files, monkeypatch):
                  "--walks", "100000", "--rng-seed", "0"]) == 5
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_verify_step_cap_below_one_is_usage_error(path_files, cap, capsys):
+    edges, seeds = path_files
+    code = main(["verify", str(edges), str(seeds), "--node", "v2", "--walks", "100", "--step-cap", cap])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert "error:" in err and "--step-cap" in err and "Traceback" not in err
+
+
+def test_verify_walk_hitting_step_cap_is_usage_error(path_files, capsys):
+    edges, seeds = path_files
+    # every walk from v2 needs at least two steps to reach s or t
+    code = main(["verify", str(edges), str(seeds), "--node", "v2", "--walks", "100", "--step-cap", "1"])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert "error:" in err and "--step-cap 1" in err and "Traceback" not in err
+
+
 def test_generate_outputs(tmp_path):
     out = tmp_path / "bench"
     code = main(["generate", "--n", "400", "--avg-k", "15", "--gamma", "2",
@@ -219,8 +237,10 @@ def test_detect_direct_over_cap_is_usage_error(tmp_path):
         ["no-such-command"],
         ["detect", "e", "s", "--out", "x", "--tol", "notanumber"],
         ["detect", "e", "s", "--out", "x", "--solver", "iterative"],
+        ["sweep", "--n", "200", "--avg-k", "10", "--mu", "0.1", "--sigma", "0.2", "--out", "x", "--tol", "1e-6"],
+        ["histogram", "e", "t", "--sigma", "0.2", "--out", "x", "--tol", "1e-6"],
     ],
-    ids=["missing-positional", "unknown-subcommand", "bad-tol", "solver-flag"],
+    ids=["missing-positional", "unknown-subcommand", "bad-tol", "solver-flag", "sweep-tol", "histogram-tol"],
 )
 def test_argparse_usage_errors_exit_64(argv, capsys):
     assert main(argv) == 64

@@ -9,7 +9,6 @@ from seedwalk import (
     assign_crisp,
     build_chain,
     detect_multi,
-    detect_single,
     estimate_affinity,
     load_edge_list,
     run_walks,
@@ -22,7 +21,7 @@ from conftest import path_graph, random_connected_graph
 def test_gamblers_ruin_profile():
     g = path_graph(3)
     seeds = SeedSet({g.id_of("s"): [1.0], g.id_of("t"): [0.0]})
-    aff = detect_single(g, seeds)
+    aff = detect_multi(g, seeds)
     assert aff.row_for(g.id_of("v1"))[0] == pytest.approx(0.75, abs=1e-10)
     assert aff.row_for(g.id_of("v2"))[0] == pytest.approx(0.50, abs=1e-10)
     assert aff.row_for(g.id_of("v3"))[0] == pytest.approx(0.25, abs=1e-10)
@@ -31,7 +30,7 @@ def test_gamblers_ruin_profile():
 def test_all_seeds_one_gives_all_ones():
     g = path_graph(4)
     seeds = SeedSet({g.id_of("s"): [1.0], g.id_of("t"): [1.0]})
-    aff = detect_single(g, seeds)
+    aff = detect_multi(g, seeds)
     assert np.allclose(aff.rows, 1.0, atol=1e-10)
 
 
@@ -72,9 +71,9 @@ def test_linearity_in_seed_affinities(fig_graph):
     beta2 = {s1: [0.0], s2: [1.0]}
     alpha, gamma = 0.3, 0.5
     combo = {s1: [alpha * 1.0], s2: [gamma * 1.0]}
-    a1 = detect_single(fig_graph, SeedSet(beta1)).rows
-    a2 = detect_single(fig_graph, SeedSet(beta2)).rows
-    ac = detect_single(fig_graph, SeedSet(combo)).rows
+    a1 = detect_multi(fig_graph, SeedSet(beta1)).rows
+    a2 = detect_multi(fig_graph, SeedSet(beta2)).rows
+    ac = detect_multi(fig_graph, SeedSet(combo)).rows
     assert np.abs(ac - (alpha * a1 + gamma * a2)).max() <= 1e-6
 
 
@@ -96,7 +95,7 @@ def test_crisp_argmax_and_ties(fig_graph, fig_seeds):
 
 def test_crisp_single_community(fig_graph):
     seeds = SeedSet({fig_graph.id_of("s1"): [1.0], fig_graph.id_of("s2"): [0.2]})
-    crisp = assign_crisp(detect_single(fig_graph, seeds))
+    crisp = assign_crisp(detect_multi(fig_graph, seeds))
     assert set(crisp.values()) == {0}
 
 
@@ -109,16 +108,11 @@ def test_argmax_invariant_under_scaling(fig_graph):
     assert c1 == c2
 
 
-def test_detect_single_requires_one_community(fig_graph, fig_seeds):
-    with pytest.raises(ValueError, match="l=1"):
-        detect_single(fig_graph, fig_seeds)
-
-
 def test_reachability_failure_raises():
     g = load_edge_list(io.StringIO("a b\nc d\n"))
     seeds = SeedSet({g.id_of("a"): [1.0]})
     with pytest.raises(ReachabilityError):
-        detect_single(g, seeds)
+        detect_multi(g, seeds)
 
 
 def test_all_nodes_seeds_degenerate():
@@ -208,7 +202,7 @@ def test_crisp_csv_format(fig_graph, fig_seeds):
 def test_clamping_only_on_output():
     g = path_graph(2)
     seeds = SeedSet({g.id_of("s"): [1.0], g.id_of("t"): [0.0]})
-    aff = detect_single(g, seeds)
+    aff = detect_multi(g, seeds)
     clamped = aff.clamped_rows()
     assert clamped.min() >= 0.0
     assert clamped.max() <= 1.0

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seedwalk import Graph, ParseError, check_seed_reachability, load_edge_list, write_edge_list
 
@@ -55,6 +57,29 @@ def test_degree_out_of_range():
         g.degree(2)
     with pytest.raises(ValueError, match="out of range"):
         g.degree(-1)
+
+
+@st.composite
+def _edge_lists(draw):
+    """(n, id pairs) with repeats in both orientations, self-loops dropped."""
+    n = draw(st.integers(2, 12))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=60))
+    return n, [(u, w) for u, w in pairs if u != w]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_lists())
+def test_from_edges_matches_set_reference(case):
+    # duplicates in both orientations collapse to one edge each
+    n, edges = case
+    g = Graph.from_edges(n, edges)
+    distinct = {(min(u, w), max(u, w)) for u, w in edges}
+    adj = [sorted({w for u, w in distinct if u == v} | {u for u, w in distinct if w == v}) for v in range(n)]
+    assert g.offsets.tolist() == [0] + np.cumsum([len(a) for a in adj]).tolist()
+    assert g.targets.tolist() == [w for a in adj for w in a]
+    assert g.duplicates_collapsed == len(edges) - len(distinct)
+    g.validate()
 
 
 def test_from_edges_rejects_self_loop():

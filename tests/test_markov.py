@@ -3,9 +3,18 @@ import io
 import numpy as np
 import pytest
 
-from seedwalk import ReachabilityError, build_chain, load_edge_list, transition_row
+from seedwalk import ReachabilityError, build_chain, load_edge_list
 
 from conftest import path_graph, random_connected_graph
+
+
+def transition_row(chain, v):
+    """Out-transitions of transient node v: (neighbor, 1/deg(v)) per neighbor."""
+    if chain.is_seed(v):
+        raise ValueError(f"node {v} is absorbing; its row is the implicit identity")
+    nbrs = chain.graph.neighbors(v)
+    p = 1.0 / nbrs.size
+    return [(int(w), p) for w in nbrs]
 
 
 def test_path_chain_partition():

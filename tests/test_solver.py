@@ -1,10 +1,11 @@
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 
 from seedwalk import SeedSet, build_chain, load_edge_list
-from seedwalk.solver import BLOCK, assemble, solve_iterative, solve_iterative_all
+from seedwalk.solver import BLOCK, assemble, solve_iterative_all
 
 from conftest import dense_absorption_oracle, path_graph, random_connected_graph
 
@@ -18,16 +19,13 @@ def _path_system(k=3, beta_s=1.0, beta_t=0.0):
 
 def test_assemble_path_by_hand():
     g, chain, system = _path_system()
-    # transient nodes are v1, v2, v3 in id order; hand-assembled values:
+    # transient nodes are v1, v2, v3 in id order; hand-assembled D - A_TT
+    # (degree 2 each, edges v1-v2 and v2-v3) and A_TS beta (v1 borders s):
     assert system.dim == 3
     assert np.array_equal(system.diag, [2.0, 2.0, 2.0])
+    expected = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    assert np.array_equal(system.matrix().toarray(), expected)
     assert np.array_equal(system.rhs[:, 0], [1.0, 0.0, 0.0])
-    # off-diagonal adjacency: v1-v2, v2-v3
-    rows = [
-        system.sub_targets[system.sub_offsets[i] : system.sub_offsets[i + 1]].tolist()
-        for i in range(3)
-    ]
-    assert rows == [[1], [0, 2], [1]]
 
 
 def test_rhs_sums_seed_neighbor_affinities():
@@ -50,9 +48,9 @@ def test_assemble_rejects_mismatched_seed_ids():
 
 
 def _solve_exact(system, community):
-    x, report = solve_iterative(system, community, tol=1e-12)
-    assert report.converged
-    return x
+    X, reports = solve_iterative_all(system, tol=1e-12)
+    assert reports[community].converged
+    return X[:, community]
 
 
 def test_direct_gamblers_ruin():
@@ -96,7 +94,8 @@ def test_iterative_matches_direct_on_random_graphs():
 
 def test_blocked_solve_matches_single_columns_bitwise():
     # more than two blocks, a zero column and a partial last block: every
-    # column must equal its one-at-a-time solve bit for bit
+    # column must equal the solve of a system holding that column alone, bit
+    # for bit
     rng = np.random.default_rng(31)
     g = random_connected_graph(rng, 300)
     ids = np.sort(rng.choice(g.n, size=30, replace=False))
@@ -106,8 +105,8 @@ def test_blocked_solve_matches_single_columns_bitwise():
     system = assemble(build_chain(g, seeds.ids), seeds)
     X, reports = solve_iterative_all(system)
     for j in range(system.communities):
-        x, report = solve_iterative(system, j)
-        assert np.array_equal(x, X[:, j])
+        x, (report,) = solve_iterative_all(dataclasses.replace(system, rhs=system.rhs[:, [j]]))
+        assert np.array_equal(x[:, 0], X[:, j])
         assert report == reports[j]
     assert reports[BLOCK - 1].iterations == 0
 
@@ -116,17 +115,17 @@ def test_zero_rhs_short_circuits():
     g, chain, _ = _path_system()
     seeds = SeedSet({g.id_of("s"): [0.0], g.id_of("t"): [0.0]})
     system = assemble(chain, seeds)
-    x, report = solve_iterative(system, 0)
-    assert np.array_equal(x, np.zeros(3))
+    x, (report,) = solve_iterative_all(system)
+    assert np.array_equal(x, np.zeros((3, 1)))
     assert report.iterations == 0
     assert report.converged
 
 
 def test_iterative_tight_tolerance_on_path():
     _, _, system = _path_system()
-    x, report = solve_iterative(system, 0, tol=1e-10)
+    x, (report,) = solve_iterative_all(system, tol=1e-10)
     assert report.converged
-    assert np.abs(x - np.array([0.75, 0.5, 0.25])).max() <= 1e-8
+    assert np.abs(x[:, 0] - np.array([0.75, 0.5, 0.25])).max() <= 1e-8
 
 
 def test_assembled_systems_are_sdd():
@@ -136,7 +135,10 @@ def test_assembled_systems_are_sdd():
         ids = np.sort(rng.choice(g.n, size=10, replace=False))
         seeds = SeedSet({int(v): [1.0] for v in ids})
         system = assemble(build_chain(g, seeds.ids), seeds)
-        offdiag_rowsum = np.diff(system.sub_offsets)
+        L = system.matrix()
+        assert (L != L.T).nnz == 0
+        assert np.array_equal(L.diagonal(), system.diag)
+        offdiag_rowsum = np.asarray(abs(L).sum(axis=1)).ravel() - system.diag
         assert (system.diag >= offdiag_rowsum).all()
         # strict somewhere: at least one transient node borders a seed
         assert (system.diag > offdiag_rowsum).any()
