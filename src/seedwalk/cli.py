@@ -4,9 +4,15 @@ Every run writes a JSON manifest next to its outputs with the full flag
 set, rng seed, and artifact version, so outputs can be reproduced exactly.
 All randomness flows from --rng-seed.
 
-Exit codes: 0 success, 1 input parse error, 2 reachability failure,
-3 solver non-convergence, 4 infeasible generation parameters,
-5 verify-gap violation, 64 usage error (argparse's own errors included).
+Outside input is checked in two places. Flag values are checked by argparse
+types, so a bad value is a usage error naming the flag. Errors raised while
+a command runs reach ``main``, which maps each kind to its exit code
+(EXIT_CODES) and prints one ``error:`` line instead of a traceback.
+
+Exit codes: 0 success, 1 an input file cannot be read or parsed or an output
+file cannot be written, 2 reachability failure, 3 solver non-convergence,
+4 infeasible generation parameters, 5 verify-gap violation, 64 usage error
+(argparse's own errors included).
 """
 
 from __future__ import annotations
@@ -28,17 +34,22 @@ from .markov import build_chain
 from .seeds import load_seed_file
 
 EXIT_OK = 0
-EXIT_PARSE = 1
-EXIT_REACHABILITY = 2
-EXIT_NO_CONVERGENCE = 3
-EXIT_INFEASIBLE = 4
 EXIT_GAP = 5
 EXIT_USAGE = 64
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class UsageError(Exception):
+    """A request the command cannot serve, such as a node that is not in the graph."""
+
+
+EXIT_CODES = {
+    ParseError: 1,
+    OSError: 1,
+    ReachabilityError: 2,
+    ConvergenceError: 3,
+    GenerationError: 4,
+    UsageError: EXIT_USAGE,
+}
 
 
 def _write_manifest(path: Path, subcommand: str, args: argparse.Namespace, extra: dict | None = None) -> None:
@@ -58,21 +69,9 @@ def _write_manifest(path: Path, subcommand: str, args: argparse.Namespace, extra
 
 
 def cmd_detect(args) -> int:
-    try:
-        g = load_edge_list(args.edges)
-        seeds = load_seed_file(args.seeds, g)
-    except (ParseError, OSError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    try:
-        aff = detect_multi(g, seeds, tol=args.tol)
-    except ReachabilityError as exc:
-        labels = ", ".join(g.labels[v] for v in exc.unreachable[:20])
-        return _fail(EXIT_REACHABILITY, f"nodes unreachable from the seed set: {labels}")
-    except ConvergenceError as exc:
-        return _fail(EXIT_NO_CONVERGENCE, str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-
+    g = load_edge_list(args.edges)
+    seeds = load_seed_file(args.seeds, g)
+    aff = detect_multi(g, seeds, tol=args.tol)
     prefix = str(args.out)
     affinity_path = Path(prefix + ".affinity.csv")
     crisp_path = Path(prefix + ".crisp.csv")
@@ -112,10 +111,7 @@ def _lfr_params(args, mu: float) -> LfrParams:
 
 def cmd_generate(args) -> int:
     params = _lfr_params(args, args.mu)
-    try:
-        pg = lfr.generate(params)
-    except GenerationError as exc:
-        return _fail(EXIT_INFEASIBLE, str(exc))
+    pg = lfr.generate(params)
     prefix = str(args.out)
     edges_path = Path(prefix + ".edges")
     truth_path = Path(prefix + ".truth")
@@ -148,37 +144,21 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.walks < 1:
-        return _fail(EXIT_USAGE, "--walks must be >= 1")
-    if args.step_cap < 1:
-        return _fail(EXIT_USAGE, "--step-cap must be >= 1")
-    try:
-        g = load_edge_list(args.edges)
-        seeds = load_seed_file(args.seeds, g)
-    except (ParseError, OSError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    g = load_edge_list(args.edges)
+    seeds = load_seed_file(args.seeds, g)
     try:
         node = g.id_of(args.node)
     except KeyError:
-        return _fail(EXIT_USAGE, f"node {args.node!r} not in graph")
+        raise UsageError(f"node {args.node!r} not in graph") from None
     if node in seeds:
-        return _fail(EXIT_USAGE, f"node {args.node!r} is a seed; pick a non-seed node")
-    try:
-        chain = build_chain(g, seeds.ids)
-        aff = detect_multi(g, seeds, tol=args.tol)
-    except ReachabilityError as exc:
-        labels = ", ".join(g.labels[v] for v in exc.unreachable[:20])
-        return _fail(EXIT_REACHABILITY, f"nodes unreachable from the seed set: {labels}")
-    except ConvergenceError as exc:
-        return _fail(EXIT_NO_CONVERGENCE, str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-
+        raise UsageError(f"node {args.node!r} is a seed; pick a non-seed node")
+    chain = build_chain(g, seeds.ids)
+    aff = detect_multi(g, seeds, tol=args.tol)
     try:
         stats = walker.run_walks(chain, node, args.walks, args.rng_seed, step_cap=args.step_cap)
     except SeedwalkError:
         # build_chain proved every walk is absorbed, so only the cap can stop one
-        return _fail(EXIT_USAGE, f"a walk from {args.node!r} exceeded --step-cap {args.step_cap}; raise the cap")
+        raise UsageError(f"a walk from {args.node!r} exceeded --step-cap {args.step_cap}; raise the cap") from None
     solved = aff.row_for(node)
     threshold = 4.0 * math.sqrt(0.25 / args.walks) + 1e-6
     worst = 0.0
@@ -189,41 +169,25 @@ def cmd_verify(args) -> int:
         worst = max(worst, gap)
         print(f"community {i}: solver {solved[i]:.6f}  walker {est:.6f}  gap {gap:.6f}")
     if worst > threshold:
-        return _fail(EXIT_GAP, f"worst gap {worst:.6f} exceeds threshold {threshold:.6f}")
+        # a result, not an error: the comparison ran and failed its check
+        print(f"error: worst gap {worst:.6f} exceeds threshold {threshold:.6f}", file=sys.stderr)
+        return EXIT_GAP
     return EXIT_OK
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip() != ""]
-
-
 def cmd_sweep(args) -> int:
-    if args.trials < 1:
-        return _fail(EXIT_USAGE, "--trials must be >= 1")
-    try:
-        mus = _parse_float_list(args.mu)
-        sigmas = _parse_float_list(args.sigma)
-    except ValueError:
-        return _fail(EXIT_USAGE, "--mu and --sigma take comma-separated numbers")
-    if not mus or not sigmas:
-        return _fail(EXIT_USAGE, "--mu and --sigma must be nonempty")
-    if any(not 0 < s <= 1 for s in sigmas):
-        return _fail(EXIT_USAGE, "every sigma must lie in (0, 1]")
-    if any(lfr.seed_count(s, args.n) < 1 for s in sigmas):
-        return _fail(EXIT_USAGE, f"every sigma must give at least one seed among {args.n} nodes")
+    if any(lfr.seed_count(s, args.n) < 1 for s in args.sigma):
+        raise UsageError(f"every sigma must give at least one seed among {args.n} nodes")
     cells = []
-    for mu in mus:
+    for mu in args.mu:
         params = _lfr_params(args, mu)
-        try:
-            params.validate()
-        except GenerationError as exc:
-            return _fail(EXIT_INFEASIBLE, str(exc))
-        for sigma in sigmas:
-            cells.append((params, sigma))
+        params.validate()
+        cells.extend((params, sigma) for sigma in args.sigma)
 
-    results, summaries = bench.run_sweep(cells, args.trials, args.rng_seed, jobs=args.jobs)
     out = Path(args.out)
+    # opened first, so an unwritable path fails before any trial runs
     with open(out, "w", encoding="utf-8") as fh:
+        _, summaries = bench.run_sweep(cells, args.trials, args.rng_seed, jobs=args.jobs)
         bench.write_results_csv(summaries, fh)
     _write_manifest(
         out.with_suffix(".manifest.json"),
@@ -252,18 +216,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_histogram(args) -> int:
-    if args.runs < 1:
-        return _fail(EXIT_USAGE, "--runs must be >= 1")
-    if args.bins < 1:
-        return _fail(EXIT_USAGE, "--bins must be >= 1")
-    if not 0 < args.sigma <= 1:
-        return _fail(EXIT_USAGE, "--sigma must lie in (0, 1]")
-    try:
-        pg = lfr.load_planted(args.edges, args.truth)
-    except (ParseError, OSError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    pg = lfr.load_planted(args.edges, args.truth)
     if lfr.seed_count(args.sigma, pg.graph.n) < 1:
-        return _fail(EXIT_USAGE, f"--sigma must give at least one seed among {pg.graph.n} nodes")
+        raise UsageError(f"--sigma must give at least one seed among {pg.graph.n} nodes")
     qualities = bench.seed_resample_qualities(pg, args.sigma, args.runs, args.rng_seed, jobs=args.jobs)
     bins = bench.histogram(qualities, args.bins)
     out = Path(args.out)
@@ -279,8 +234,32 @@ def cmd_histogram(args) -> int:
     return EXIT_OK
 
 
+def _checked(convert, ok, name: str):
+    """argparse type: convert the text, require ok(value); else argparse reports `invalid <name> value`."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise ValueError(text)
+        return value
+
+    parse.__name__ = name
+    return parse
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(part) for part in text.split(",") if part.strip()]
+
+
+AT_LEAST_ONE = _checked(int, lambda v: v >= 1, "positive integer")
+TOLERANCE = _checked(float, lambda v: 0 < v < math.inf, "positive finite number")
+SIGMA = _checked(float, lambda v: 0 < v <= 1, "fraction in (0, 1]")
+MU_LIST = _checked(_float_list, bool, "number list")
+SIGMA_LIST = _checked(_float_list, lambda vs: vs and all(0 < v <= 1 for v in vs), "fraction list in (0, 1]")
+
+
 def _add_tol_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-8, help="solver relative-residual tolerance")
+    p.add_argument("--tol", type=TOLERANCE, default=1e-8, help="solver relative-residual tolerance")
 
 
 def _add_lfr_flags(p: argparse.ArgumentParser, mu_list: bool) -> None:
@@ -289,7 +268,7 @@ def _add_lfr_flags(p: argparse.ArgumentParser, mu_list: bool) -> None:
     p.add_argument("--gamma", type=float, default=2.0, help="degree power-law exponent")
     p.add_argument("--beta-exp", type=float, default=2.0, help="community-size power-law exponent")
     if mu_list:
-        p.add_argument("--mu", required=True, help="mixing parameter(s), comma separated")
+        p.add_argument("--mu", type=MU_LIST, required=True, help="mixing parameter(s), comma separated")
     else:
         p.add_argument("--mu", type=float, required=True, help="mixing parameter in [0, 1]")
     p.add_argument("--k-min", type=int, default=None, help="min degree (default: calibrated)")
@@ -323,16 +302,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("edges")
     p.add_argument("seeds")
     p.add_argument("--node", required=True, help="non-seed node label to verify")
-    p.add_argument("--walks", type=int, default=100_000)
+    p.add_argument("--walks", type=AT_LEAST_ONE, default=100_000)
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--step-cap", type=int, default=walker.DEFAULT_STEP_CAP)
+    p.add_argument("--step-cap", type=AT_LEAST_ONE, default=walker.DEFAULT_STEP_CAP)
     _add_tol_flag(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="quality-vs-parameters grid of benchmark trials")
     _add_lfr_flags(p, mu_list=True)
-    p.add_argument("--sigma", required=True, help="seed fraction(s), comma separated")
-    p.add_argument("--trials", type=int, default=100, help="runs per grid cell")
+    p.add_argument("--sigma", type=SIGMA_LIST, required=True, help="seed fraction(s), comma separated")
+    p.add_argument("--trials", type=AT_LEAST_ONE, default=100, help="runs per grid cell")
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="parallel trial workers")
     p.add_argument("--out", required=True, help="results CSV path")
@@ -341,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("histogram", help="Q distribution over seed re-samples on one graph")
     p.add_argument("edges")
     p.add_argument("truth", help="ground-truth file: `node community` per line")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--runs", type=int, default=1000)
-    p.add_argument("--bins", type=int, default=20)
+    p.add_argument("--sigma", type=SIGMA, required=True)
+    p.add_argument("--runs", type=AT_LEAST_ONE, default=1000)
+    p.add_argument("--bins", type=AT_LEAST_ONE, default=20)
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out", required=True, help="histogram CSV path")
@@ -359,7 +338,11 @@ def main(argv=None) -> int:
         # argparse exits 2 after printing its error, but 2 means unreachable
         # nodes here; --help exits 0
         return EXIT_USAGE if exc.code else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

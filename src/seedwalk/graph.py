@@ -7,7 +7,6 @@ and safe for concurrent reads.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -123,55 +122,51 @@ class Graph:
                 raise ValueError("adjacency not symmetric")
 
 
-@contextmanager
-def open_utf8(path: str | Path) -> Iterator[IO[str]]:
-    """Open a text file for parsing; bytes that are not UTF-8 raise ParseError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+def read_records(source: str | Path | IO[str] | Iterable[str], layout: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) for each line of a path (read as UTF-8) or of lines.
+
+    Blank lines and whole-line '#' comments are skipped. Bytes that are not UTF-8, a later
+    field starting with '#', or a field count other than ``layout``'s raise ParseError.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8") as fh:
+            try:
+                yield from read_records(fh, layout)
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{source}: not UTF-8 text ({exc.reason})") from None
+        return
+    width = len(layout.split())
+    for lineno, raw in enumerate(source, start=1):
+        fields = raw.split()
+        if not fields:
+            continue
+        if "#" in raw:
+            if fields[0].startswith("#"):
+                continue
+            if any(f.startswith("#") for f in fields):
+                raise ParseError(f"line {lineno}: a label starts with '#'; comments must be whole lines")
+        if len(fields) != width:
+            raise ParseError(f"line {lineno}: expected `{layout}`, got {len(fields)} field(s)")
+        yield lineno, fields
 
 
 def load_edge_list(source: str | Path | IO[str] | Iterable[str]) -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
-    One edge per line as two labels; lines starting with '#' are comments;
-    blank lines are skipped. Labels are re-indexed densely in order of first
-    appearance. Duplicate edges are collapsed (count kept on the returned
-    graph); self-loops and malformed lines raise ParseError.
+    One edge per line as two labels (see read_records for comments and blank
+    lines). Labels are re-indexed densely in order of first appearance.
+    Duplicate edges are collapsed (count kept on the returned graph);
+    self-loops and malformed lines raise ParseError.
     """
-    if isinstance(source, (str, Path)):
-        with open_utf8(source) as fh:
-            return load_edge_list(fh)
-
-    label_ids: dict[str, int] = {}
-    labels: list[str] = []
+    ids: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
-
-    def intern(lab: str) -> int:
-        v = label_ids.get(lab)
-        if v is None:
-            v = len(labels)
-            label_ids[lab] = v
-            labels.append(lab)
-        return v
-
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected two labels, got {len(parts)}")
-        a, b = parts
+    for lineno, (a, b) in read_records(source, "node node"):
         if a == b:
             raise ParseError(f"line {lineno}: self-loop on node {a!r}")
-        edges.append((intern(a), intern(b)))
-
+        edges.append((ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))))
     if not edges:
         raise ParseError("empty edge list")
-    return Graph.from_edges(len(labels), edges, labels)
+    return Graph.from_edges(len(ids), edges, list(ids))
 
 
 def write_edge_list(g: Graph, stream: IO[str]) -> None:

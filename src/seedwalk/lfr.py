@@ -19,7 +19,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import GenerationError, ParseError
-from .graph import Graph, load_edge_list, open_utf8
+from .graph import Graph, load_edge_list, read_records
 from .seeds import SeedSet
 
 _MAX_ATTEMPTS = 30
@@ -55,10 +55,11 @@ class LfrParams:
             raise GenerationError("n must be at least 2")
         if not 0.0 <= self.mu <= 1.0:
             raise GenerationError(f"mu={self.mu} outside [0, 1]")
-        if self.gamma <= 1 or self.beta_exp <= 1:
-            raise GenerationError("power-law exponents must exceed 1")
-        if self.avg_k <= 0:
-            raise GenerationError("avg_k must be positive")
+        # written so that NaN fails every test
+        if not (1 < self.gamma < math.inf and 1 < self.beta_exp < math.inf):
+            raise GenerationError("power-law exponents must be finite and exceed 1")
+        if not 0 < self.avg_k < math.inf:
+            raise GenerationError("avg_k must be positive and finite")
         k_min, k_max, s_min, s_max = self.resolved_bounds()
         if not 1 <= k_min <= k_max:
             raise GenerationError(f"need 1 <= k_min <= k_max, got [{k_min}, {k_max}]")
@@ -464,26 +465,19 @@ def write_truth(pg: PlantedGraph, stream: IO[str]) -> None:
 
 
 def load_planted(edge_source, truth_source: str | Path | IO[str] | Iterable[str]) -> PlantedGraph:
-    """Rebuild a PlantedGraph from an edge list plus a ground-truth file."""
-    g = edge_source if isinstance(edge_source, Graph) else load_edge_list(edge_source)
-    if isinstance(truth_source, (str, Path)):
-        with open_utf8(truth_source) as fh:
-            return load_planted(g, fh)
+    """Rebuild a PlantedGraph from an edge list plus a ground truth that lists every node once."""
+    g = load_edge_list(edge_source)
     membership = np.full(g.n, -1, dtype=np.int64)
-    for lineno, raw in enumerate(truth_source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected `node community`")
+    for lineno, (lab, comm_s) in read_records(truth_source, "node community"):
         try:
-            v = g.id_of(parts[0])
-            c = int(parts[1])
+            v = g.id_of(lab)
+            c = int(comm_s)
         except (KeyError, ValueError):
             raise ParseError(f"line {lineno}: unknown node or bad community index") from None
         if c < 0:
             raise ParseError(f"line {lineno}: negative community index")
+        if membership[v] >= 0:
+            raise ParseError(f"line {lineno}: duplicate entry for node {lab!r}")
         membership[v] = c
     if (membership < 0).any():
         missing = int((membership < 0).sum())

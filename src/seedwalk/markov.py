@@ -62,6 +62,6 @@ def build_chain(g: Graph, seeds: Iterable[int]) -> AbsorbingChain:
         raise ValueError("seed set is empty")
     unreachable = check_seed_reachability(g, seed_arr)
     if unreachable.size:
-        raise ReachabilityError(unreachable.tolist())
+        raise ReachabilityError(unreachable.tolist(), g.labels)
     return AbsorbingChain(g, seed_arr)
 

@@ -8,7 +8,7 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ParseError
-from .graph import Graph, open_utf8
+from .graph import Graph, read_records
 
 
 class SeedSet:
@@ -65,20 +65,9 @@ def load_seed_file(source: str | Path | IO[str] | Iterable[str], g: Graph) -> Se
     A node may appear on several lines, one per community; unlisted
     communities get affinity 0. Community indices must be dense 0..l-1.
     """
-    if isinstance(source, (str, Path)):
-        with open_utf8(source) as fh:
-            return load_seed_file(fh, g)
-
     triples: dict[tuple[int, int], float] = {}
     max_comm = -1
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected `node community affinity`, got {len(parts)} fields")
-        lab, comm_s, aff_s = parts
+    for lineno, (lab, comm_s, aff_s) in read_records(source, "node community affinity"):
         try:
             node = g.id_of(lab)
         except KeyError:

@@ -94,8 +94,8 @@ def solve_iterative_all(
     drops below tol; on budget exhaustion the best iterate is returned with
     converged=False.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter is None:
         max_iter = 10 * system.dim + 100
     B = system.rhs

@@ -6,6 +6,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from seedwalk import Graph, SeedSet, load_edge_list, load_seed_file
 
@@ -81,3 +82,20 @@ def dense_absorption_oracle(g: Graph, seed_ids, seed_rows) -> tuple[list[int], n
     R = P[np.ix_(t, s)]
     B = np.linalg.solve(np.eye(len(t)) - Q, R)
     return t, B @ np.asarray(seed_rows)
+
+
+# labels: non-whitespace text that may hold '#' anywhere but first
+LABELS = st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=6).filter(
+    lambda s: s.split() == [s] and not s.startswith("#")
+)
+
+
+@st.composite
+def labelled_edges(draw):
+    """(labels, edge list text) with every label on some edge."""
+    labels = draw(st.lists(LABELS, min_size=2, max_size=10, unique=True))
+    node = st.integers(0, len(labels) - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), min_size=1, max_size=30))
+    used = {v for p in pairs for v in p}
+    text = "".join(f"{labels[u]} {labels[w]}\n" for u, w in pairs)
+    return [labels[v] for v in sorted(used)], text

@@ -239,12 +239,53 @@ def test_detect_direct_over_cap_is_usage_error(tmp_path):
         ["detect", "e", "s", "--out", "x", "--solver", "iterative"],
         ["sweep", "--n", "200", "--avg-k", "10", "--mu", "0.1", "--sigma", "0.2", "--out", "x", "--tol", "1e-6"],
         ["histogram", "e", "t", "--sigma", "0.2", "--out", "x", "--tol", "1e-6"],
+        ["detect", "e", "s", "--out", "x", "--tol", "nan"],
+        ["detect", "e", "s", "--out", "x", "--tol", "inf"],
+        ["detect", "e", "s", "--out", "x", "--tol", "0"],
+        ["verify", "e", "s", "--node", "v", "--walks", "0"],
+        ["histogram", "e", "t", "--sigma", "0.2", "--out", "x", "--bins", "0"],
     ],
-    ids=["missing-positional", "unknown-subcommand", "bad-tol", "solver-flag", "sweep-tol", "histogram-tol"],
+    ids=["missing-positional", "unknown-subcommand", "bad-tol", "solver-flag", "sweep-tol", "histogram-tol",
+         "tol-nan", "tol-inf", "tol-zero", "walks-zero", "bins-zero"],
 )
 def test_argparse_usage_errors_exit_64(argv, capsys):
     assert main(argv) == 64
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+LFR_FLAGS = ["--n", "200", "--avg-k", "10", "--mu", "0.1"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["detect", "{edges}", "{seeds}", "--out", "{tmp}/missing/x"], 1),
+        (["generate", *LFR_FLAGS, "--out", "{tmp}/missing/x"], 1),
+        (["sweep", *LFR_FLAGS, "--sigma", "0.2", "--trials", "1", "--jobs", "1", "--out", "{tmp}/missing/s.csv"], 1),
+        (["histogram", "{edges}", "{truth}", "--sigma", "0.3", "--runs", "1", "--jobs", "1",
+          "--out", "{tmp}/missing/h.csv"], 1),
+        (["generate", "--n", "200", "--avg-k", "nan", "--mu", "0.1", "--out", "{tmp}/x"], 4),
+        (["sweep", "--n", "200", "--avg-k", "nan", "--mu", "0.1", "--sigma", "0.2", "--trials", "1",
+          "--jobs", "1", "--out", "{tmp}/s.csv"], 4),
+        (["histogram", "{split_edges}", "{split_truth}", "--sigma", "0.2", "--runs", "2", "--jobs", "2",
+          "--out", "{tmp}/h.csv"], 2),
+    ],
+    ids=["detect-out", "generate-out", "sweep-out", "histogram-out", "generate-avg-k-nan", "sweep-avg-k-nan",
+         "histogram-unreachable-pooled"],
+)
+def test_runtime_errors_exit_with_their_code(argv, code, fig_files, tmp_path, capsys):
+    edges, seeds = fig_files
+    truth = tmp_path / "fig.truth"
+    truth.write_text("".join(f"{lab} 0\n" for lab in dict.fromkeys(FIG_EDGES.split())))
+    # two 3-node communities in separate components: one seed leaves the other unreachable
+    (tmp_path / "split.edges").write_text("a b\nb c\nd e\ne f\n")
+    (tmp_path / "split.truth").write_text("a 0\nb 0\nc 0\nd 1\ne 1\nf 1\n")
+    paths = {"edges": edges, "seeds": seeds, "truth": truth, "tmp": tmp_path,
+             "split_edges": tmp_path / "split.edges", "split_truth": tmp_path / "split.truth"}
+    assert main([arg.format(**paths) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_help_exits_0(capsys):
@@ -275,7 +316,7 @@ def test_histogram_sigma_without_seeds_is_usage_error(tmp_path, capsys):
 def test_non_utf8_input_is_parse_error(bad, fig_files, tmp_path, capsys):
     edges, seeds = fig_files
     truth = tmp_path / "fig.truth"
-    truth.write_text("".join(f"{lab} 0\n" for lab in FIG_EDGES.split()))
+    truth.write_text("".join(f"{lab} 0\n" for lab in dict.fromkeys(FIG_EDGES.split())))
     target = {"edges": edges, "seeds": seeds, "truth": truth}[bad]
     target.write_bytes(target.read_bytes() + b"caf\xe9 n2 0\n")
     if bad == "truth":

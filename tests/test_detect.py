@@ -1,4 +1,5 @@
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -132,8 +133,11 @@ def test_iteration_budget_exhaustion_raises():
     g = random_connected_graph(rng, 200)
     ids = np.sort(rng.choice(g.n, size=10, replace=False))
     seeds = SeedSet({int(v): [1.0] for v in ids})
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError) as exc:
         detect_multi(g, seeds, max_iter=1)
+    # worker processes send it back pickled
+    copy = pickle.loads(pickle.dumps(exc.value))
+    assert copy.reports == exc.value.reports and str(copy) == str(exc.value)
 
 
 def test_affinity_entries_near_unit_interval():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from seedwalk import Graph, ParseError, check_seed_reachability, load_edge_list, write_edge_list
 
-from conftest import random_connected_graph
+from conftest import labelled_edges, random_connected_graph
 
 
 def test_load_path_of_three():
@@ -37,6 +37,13 @@ def test_malformed_line_reports_number():
 def test_empty_input_rejected():
     with pytest.raises(ParseError, match="empty"):
         load_edge_list(io.StringIO("# only a comment\n\n"))
+
+
+@pytest.mark.parametrize("text", ["a #b\nc #b\n", "a b # trailing comment\n"])
+def test_later_field_starting_with_hash_rejected(text):
+    # a comment is a whole line; "#b" as a label would not survive write_edge_list
+    with pytest.raises(ParseError, match="line 1"):
+        load_edge_list(io.StringIO(text))
 
 
 def test_comments_and_blank_lines_skipped():
@@ -157,3 +164,41 @@ def test_seed_file_errors():
         load_seed_file(io.StringIO("a 0 1\na 0 0.5\n"), g)
     with pytest.raises(ParseError, match="empty"):
         load_seed_file(io.StringIO("# nothing\n"), g)
+
+
+def _edge_set(g):
+    return {frozenset((g.labels[u], g.labels[w])) for u in range(g.n) for w in g.neighbors(u)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_edges())
+def test_edge_list_round_trip(case):
+    labels, text = case
+    g = load_edge_list(io.StringIO(text))
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    g2 = load_edge_list(io.StringIO(buf.getvalue()))
+    assert set(g.labels) == set(g2.labels) == set(labels)
+    assert _edge_set(g2) == _edge_set(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_edges(), st.data())
+def test_seed_file_round_trip(case, data):
+    from seedwalk import SeedSet, load_seed_file, write_seed_file
+
+    g = load_edge_list(io.StringIO(case[1]))
+    ids = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
+    l = data.draw(st.integers(1, 4))
+    value = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    rows = data.draw(st.lists(st.lists(value, min_size=l, max_size=l), min_size=len(ids), max_size=len(ids)))
+    seeds = SeedSet(dict(zip(ids, rows)))
+    buf = io.StringIO()
+    write_seed_file(seeds, g, buf)
+    loaded = load_seed_file(io.StringIO(buf.getvalue()), g)
+    assert np.array_equal(loaded.ids, seeds.ids)
+    # the file holds 9 significant digits; communities that are zero in every
+    # row after the last listed one are not written
+    expected = np.vectorize(lambda x: float(f"{x:.9g}"))(seeds.rows)
+    assert np.array_equal(loaded.rows, expected[:, : loaded.l])
+    assert not expected[:, loaded.l :].any()

@@ -1,13 +1,16 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seedwalk import GenerationError, LfrParams, generate, mixing_fraction, sample_power_law, sample_seeds
-from seedwalk.graph import write_edge_list
+from seedwalk import GenerationError, LfrParams, ParseError, generate, mixing_fraction, sample_power_law, sample_seeds
+from seedwalk.graph import load_edge_list, write_edge_list
 from seedwalk.lfr import PlantedGraph, internal_degree, load_planted, write_truth
 
-from conftest import random_connected_graph
+from conftest import labelled_edges, random_connected_graph
 
 
 def test_power_law_degenerate_support():
@@ -122,6 +125,14 @@ def test_infeasible_parameters_rejected():
         generate(LfrParams(n=8, avg_k=2, gamma=2.0, beta_exp=2.0, mu=0.1, s_min=10))
 
 
+@pytest.mark.parametrize("field", ["avg_k", "gamma", "beta_exp"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_parameters_rejected(field, value):
+    params = replace(LfrParams(n=300, avg_k=12, gamma=2.0, beta_exp=2.0, mu=0.2), **{field: value})
+    with pytest.raises(GenerationError):
+        params.validate()
+
+
 def test_sample_seeds_all_nodes():
     pg = generate(LfrParams(n=300, avg_k=12, gamma=2.0, beta_exp=2.0, mu=0.2, rng_seed=9))
     seeds, uncovered = sample_seeds(pg, 1.0, np.random.default_rng(0))
@@ -175,6 +186,26 @@ def test_truth_round_trip(tmp_path):
     by_label_load = {loaded.graph.labels[v]: int(loaded.membership[v]) for v in range(loaded.graph.n)}
     assert by_label_orig == by_label_load
     assert sorted(loaded.sizes) == sorted(pg.sizes)
+
+
+def test_truth_file_node_listed_twice_rejected():
+    edges = io.StringIO("a b\nb c\n")
+    with pytest.raises(ParseError, match="line 4: duplicate entry for node 'b'"):
+        load_planted(edges, io.StringIO("a 0\nb 0\nc 1\nb 1\n"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_edges(), st.data())
+def test_truth_round_trip_property(case, data):
+    g = load_edge_list(io.StringIO(case[1]))
+    membership = np.array(data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n)))
+    pg = PlantedGraph(graph=g, membership=membership, sizes=np.bincount(membership).tolist())
+    edges, truth = io.StringIO(), io.StringIO()
+    write_edge_list(g, edges)
+    write_truth(pg, truth)
+    loaded = load_planted(io.StringIO(edges.getvalue()), io.StringIO(truth.getvalue()))
+    by_label = {g.labels[v]: int(membership[v]) for v in range(g.n)}
+    assert {loaded.graph.labels[v]: int(loaded.membership[v]) for v in range(loaded.graph.n)} == by_label
 
 
 def test_seed_file_round_trip_through_detection(tmp_path):

@@ -1,4 +1,5 @@
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -81,6 +82,10 @@ def test_unreachable_nodes_rejected():
     with pytest.raises(ReachabilityError) as exc:
         build_chain(g, {g.id_of("a")})
     assert set(exc.value.unreachable) == {g.id_of("c"), g.id_of("d")}
+    assert str(exc.value) == "2 node(s) cannot reach any seed: c, d"
+    # worker processes send it back pickled
+    copy = pickle.loads(pickle.dumps(exc.value))
+    assert copy.unreachable == exc.value.unreachable and str(copy) == str(exc.value)
 
 
 def test_empty_seed_set_rejected():

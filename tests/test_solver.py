@@ -121,6 +121,14 @@ def test_zero_rhs_short_circuits():
     assert report.converged
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("inf"), float("nan")])
+def test_tolerance_must_be_positive_and_finite(tol):
+    # nan used to end in a misleading ConvergenceError, inf in zero "solutions"
+    _, _, system = _path_system()
+    with pytest.raises(ValueError, match="tol"):
+        solve_iterative_all(system, tol=tol)
+
+
 def test_iterative_tight_tolerance_on_path():
     _, _, system = _path_system()
     x, (report,) = solve_iterative_all(system, tol=1e-10)
