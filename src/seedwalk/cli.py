@@ -18,6 +18,7 @@ file cannot be written, 2 reachability failure, 3 solver non-convergence,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -66,6 +67,19 @@ def _write_manifest(path: Path, subcommand: str, args: argparse.Namespace, extra
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
+
+
+@contextlib.contextmanager
+def _csv_out(path: Path):
+    """Open a CSV output before the work that fills it, so an unwritable path
+    fails first; if the work fails, remove the file, so no partial CSV stays."""
+    with open(path, "w", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except BaseException:
+            fh.close()
+            path.unlink()
+            raise
 
 
 def cmd_detect(args) -> int:
@@ -185,8 +199,7 @@ def cmd_sweep(args) -> int:
         cells.extend((params, sigma) for sigma in args.sigma)
 
     out = Path(args.out)
-    # opened first, so an unwritable path fails before any trial runs
-    with open(out, "w", encoding="utf-8") as fh:
+    with _csv_out(out) as fh:
         _, summaries = bench.run_sweep(cells, args.trials, args.rng_seed, jobs=args.jobs)
         bench.write_results_csv(summaries, fh)
     _write_manifest(
@@ -219,11 +232,10 @@ def cmd_histogram(args) -> int:
     pg = lfr.load_planted(args.edges, args.truth)
     if lfr.seed_count(args.sigma, pg.graph.n) < 1:
         raise UsageError(f"--sigma must give at least one seed among {pg.graph.n} nodes")
-    qualities = bench.seed_resample_qualities(pg, args.sigma, args.runs, args.rng_seed, jobs=args.jobs)
-    bins = bench.histogram(qualities, args.bins)
     out = Path(args.out)
-    with open(out, "w", encoding="utf-8") as fh:
-        bench.write_histogram_csv(bins, fh)
+    with _csv_out(out) as fh:
+        qualities = bench.seed_resample_qualities(pg, args.sigma, args.runs, args.rng_seed, jobs=args.jobs)
+        bench.write_histogram_csv(bench.histogram(qualities, args.bins), fh)
     _write_manifest(
         out.with_suffix(".manifest.json"),
         "histogram",
@@ -313,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=SIGMA_LIST, required=True, help="seed fraction(s), comma separated")
     p.add_argument("--trials", type=AT_LEAST_ONE, default=100, help="runs per grid cell")
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="parallel trial workers")
+    p.add_argument("--jobs", type=AT_LEAST_ONE, default=os.cpu_count() or 1, help="parallel trial workers")
     p.add_argument("--out", required=True, help="results CSV path")
     p.set_defaults(func=cmd_sweep)
 
@@ -324,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=AT_LEAST_ONE, default=1000)
     p.add_argument("--bins", type=AT_LEAST_ONE, default=20)
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=AT_LEAST_ONE, default=os.cpu_count() or 1)
     p.add_argument("--out", required=True, help="histogram CSV path")
     p.set_defaults(func=cmd_histogram)
 

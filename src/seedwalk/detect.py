@@ -102,8 +102,11 @@ def write_affinity_csv(aff: AffinityMatrix, g: Graph, stream: IO[str]) -> None:
     header = "node," + ",".join(f"c{i}" for i in range(aff.l))
     stream.write(header + "\n")
     row_format = "%s" + ",%.9g" * aff.l + "\n"
-    for label, row in zip(g.labels, aff.clamped_rows().tolist()):
-        stream.write(row_format % (label, *row))
+    rows = aff.clamped_rows()
+    # 1024 rows at a time: the whole matrix as Python floats is several times its size
+    for start in range(0, aff.n, 1024):
+        for label, row in zip(g.labels[start : start + 1024], rows[start : start + 1024].tolist()):
+            stream.write(row_format % (label, *row))
 
 
 def write_crisp_csv(aff: AffinityMatrix, g: Graph, stream: IO[str]) -> None:

@@ -301,47 +301,49 @@ def _wire(n, member, ncomm, degrees, d_int_base, mu, rng) -> tuple[set[tuple[int
         k_eff[v] -= 1
         dropped_stubs += 1
 
+    # the pools cannot collide: internal pools hold disjoint node sets, and
+    # an external pair inside one community is rejected anyway
     edges: set[tuple[int, int]] = set()
     dropped_pairs = 0
     for c in range(ncomm):
-        stubs = np.repeat(members[c], d_int[members[c]])
-        dropped, _ = _match_stubs(stubs, edges, rng)
-        dropped_pairs += dropped
+        placed, still = _match_stubs(np.repeat(members[c], d_int[members[c]]), rng)
+        edges |= placed
+        dropped_pairs += len(still)
 
-    ext_stubs = np.repeat(np.arange(n, dtype=np.int64), d_ext)
-    dropped, _kept = _match_stubs(ext_stubs, edges, rng, member=member, keep_forbidden=True)
-    dropped_pairs += dropped
+    placed, still = _match_stubs(np.repeat(np.arange(n, dtype=np.int64), d_ext), rng, member)
+    edges |= placed
+    # an external pair whose only flaw is lying inside one community is
+    # kept as an internal edge; every other leftover is dropped
+    for u, w in still:
+        key = (u, w) if u < w else (w, u)
+        if u != w and member[u] == member[w] and key not in edges:
+            edges.add(key)
+        else:
+            dropped_pairs += 1
 
     return edges, dropped_pairs + dropped_stubs / 2.0
 
 
-def _match_stubs(stubs, edges, rng, member=None, keep_forbidden=False) -> tuple[int, int]:
-    """Pair stubs into new simple edges (added to `edges` in place).
+def _match_stubs(stubs, rng, member=None) -> tuple[set[tuple[int, int]], list[tuple[int, int]]]:
+    """Pair stubs into simple edges.
 
     Collisions (self-loops, duplicates, and same-community pairs when
     `member` is given) go through reshuffle passes, then bounded endpoint
-    swaps against already-placed pairs from this pool. With keep_forbidden,
-    leftover pairs whose only flaw is being same-community are kept as
-    edges (they become intra-community); all other leftovers are dropped.
-    Returns (dropped pair count, kept forbidden pair count).
+    swaps against already-placed pairs. Returns (placed pairs, pairs still
+    colliding).
     """
     if stubs.size < 2:
-        return (0, 0)
+        return set(), []
     batch: list[tuple[int, int]] = []
-    batch_set: set[tuple[int, int]] = set()
+    edges: set[tuple[int, int]] = set()
 
     def ok(u: int, w: int) -> bool:
-        if u == w:
-            return False
         key = (u, w) if u < w else (w, u)
-        if key in edges or key in batch_set:
-            return False
-        return member is None or member[u] != member[w]
+        return u != w and key not in edges and (member is None or member[u] != member[w])
 
     def place(u: int, w: int) -> None:
         key = (u, w) if u < w else (w, u)
         batch.append(key)
-        batch_set.add(key)
         edges.add(key)
 
     pool = stubs.copy()
@@ -391,7 +393,6 @@ def _match_stubs(stubs, edges, rng, member=None, keep_forbidden=False) -> tuple[
             key = batch[j]
             batch[j] = batch[-1]
             batch.pop()
-            batch_set.discard(key)
             edges.discard(key)
             place(*e1)
             place(*e2)
@@ -399,18 +400,7 @@ def _match_stubs(stubs, edges, rng, member=None, keep_forbidden=False) -> tuple[
             break
         if not fixed:
             still.append((u, w))
-
-    dropped = 0
-    kept = 0
-    for u, w in still:
-        key = (u, w) if u < w else (w, u)
-        same_comm = member is not None and member[u] == member[w]
-        if keep_forbidden and same_comm and u != w and key not in edges:
-            edges.add(key)
-            kept += 1
-        else:
-            dropped += 1
-    return dropped, kept
+    return edges, still
 
 
 def seed_count(sigma: float, n: int) -> int:

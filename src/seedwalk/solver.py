@@ -9,7 +9,11 @@ Zhu-Ghahramani-Lafferty (2003). D - A_TT is symmetric and diagonally
 dominant (a row restricted to some columns has no more entries than the
 whole row), strictly so wherever a transient node borders a seed. One matrix
 and one Jacobi preconditioner serve all l communities; the right-hand sides
-are solved by conjugate gradient in blocks of BLOCK columns.
+are solved by preconditioned conjugate gradient in blocks of BLOCK columns.
+
+Every column comes out bit-identical to a solve of it alone, because every
+per-column sum runs row by row: the working arrays stay C-ordered and a lone
+column is summed explicitly (see _coldot).
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ class AbsorbingSystem:
     """The assembled system: sparse D - A_TT (the transient block of the graph
     Laplacian), its diagonal D and all l right-hand sides."""
 
-    chain: AbsorbingChain
     laplacian: scipy.sparse.csr_matrix
     diag: np.ndarray
     rhs: np.ndarray
@@ -75,7 +78,7 @@ def assemble(chain: AbsorbingChain, affinities: SeedSet) -> AbsorbingSystem:
     diag = np.diff(rows.indptr).astype(np.float64)
     laplacian = (scipy.sparse.diags(diag) - rows[:, chain.transient]).tocsr()
     rhs = rows[:, chain.seeds] @ affinities.rows
-    return AbsorbingSystem(chain, laplacian, diag, rhs)
+    return AbsorbingSystem(laplacian, diag, rhs)
 
 
 def solve_iterative_all(
@@ -85,65 +88,88 @@ def solve_iterative_all(
 ) -> tuple[np.ndarray, list[SolveReport]]:
     """PCG over many right-hand sides, BLOCK columns at a time.
 
-    Columns are mathematically and numerically independent (per-column
-    step sizes, per-column sums in a fixed order), so every column is
-    bit-identical to the solve of a system holding it alone; converged columns freeze
-    early. A zero right-hand side short-circuits to the zero vector.
-
-    Each column stops when its true relative residual ||(D-A)x - b|| / ||b||
-    drops below tol; on budget exhaustion the best iterate is returned with
-    converged=False.
+    A column converges when its true relative residual ||(D-A)x - b|| / ||b||
+    is at most tol; on budget exhaustion its last iterate is returned with
+    converged=False. A zero right-hand side short-circuits to the zero vector.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter is None:
         max_iter = 10 * system.dim + 100
-    B = system.rhs
-    ncol = B.shape[1]
-    if system.dim == 0:
-        return np.empty((0, ncol)), [SolveReport(0, 0.0, True)] * ncol
-
     L = system.matrix()
-    inv_diag = 1.0 / system.diag
+    B = system.rhs
     bnorm = _colnorm(B)
-    X = np.zeros_like(B)
-    used = np.zeros(ncol, dtype=np.int64)
-    rel = np.zeros(ncol)
-    live = np.flatnonzero(bnorm > 0)
-    for start in range(0, live.size, BLOCK):
-        cols = live[start : start + BLOCK]
-        X[:, cols], used[cols], rel[cols] = _solve_block(L, inv_diag, B[:, cols], bnorm[cols], tol, max_iter)
-    reports = [SolveReport(int(used[j]), float(rel[j]), bool(rel[j] <= tol)) for j in range(ncol)]
-    return X, reports
-
-
-def _solve_block(L, inv_diag, B, bnorm, tol, max_iter):
-    """Solve one block of nonzero right-hand sides.
-
-    Returns the solutions, per-column iteration counts and final true
-    relative residuals ||(D-A)x - b|| / ||b||.
-    """
     X = np.zeros_like(B)
     used = np.zeros(B.shape[1], dtype=np.int64)
     rel = np.zeros(B.shape[1])
-    pending = np.arange(B.shape[1])
-    # a few restart rounds catch columns whose recursive residual stopped
-    # short of the true one (rare)
-    for _ in range(4):
-        if pending.size == 0:
-            break
-        used += _pcg_core(L, inv_diag, B, X, tol * bnorm, max_iter - used, pending)
-        rel[pending] = _colnorm(B[:, pending] - L @ X[:, pending]) / bnorm[pending]
-        pending = pending[(rel[pending] > tol) & (used[pending] < max_iter)]
-    return X, used, rel
+    live = np.flatnonzero(bnorm > 0)
+    for start in range(0, live.size, BLOCK):
+        pending = live[start : start + BLOCK]
+        # a few restarts from the current iterate catch columns whose
+        # recursive residual stopped short of the true one (rare)
+        for _ in range(4):
+            if not pending.size:
+                break
+            _pcg(system, X, used, pending, tol, max_iter)
+            rel[pending] = _colnorm(B.take(pending, axis=1) - L @ X.take(pending, axis=1)) / bnorm[pending]
+            pending = pending[(rel[pending] > tol) & (used[pending] < max_iter)]
+    reports = [SolveReport(int(used[j]), float(rel[j]), bool(rel[j] <= tol)) for j in range(B.shape[1])]
+    return X, reports
+
+
+def _pcg(system, X, used, cols, tol, max_iter) -> None:
+    """Jacobi-PCG on right-hand sides cols from their current iterate in X.
+
+    Updates X and the iteration counts in used in place. A column leaves
+    the working set, before the next matvec, once its recursive residual
+    norm is at most tol * ||b||, its budget max_iter is spent, or its
+    curvature p'Ap is not positive.
+    """
+    L = system.matrix()
+    inv_diag = 1.0 / system.diag
+    b = system.rhs.take(cols, axis=1)
+    x = X.take(cols, axis=1)
+    r = b - L @ x
+    z = inv_diag[:, None] * r
+    p = z.copy()
+    rz = _coldot(r, z)
+    rn = _colnorm(r)
+    bound = tol * _colnorm(b)
+    pAp = np.full(cols.size, np.inf)  # no curvature measured yet
+    while True:
+        done = (rn <= bound) | (used[cols] >= max_iter) | (pAp <= 0.0)
+        if done.any():
+            X[:, cols[done]] = x[:, done]
+            keep = ~done
+            if not keep.any():
+                return
+            # compress keeps C order; boolean column indexing would return
+            # F-ordered arrays, whose columns einsum sums pairwise instead of
+            # row by row, so a column's bits would depend on its neighbours
+            cols = cols[keep]
+            x, r, p, rz, bound = (np.compress(keep, a, axis=-1) for a in (x, r, p, rz, bound))
+        Ap = L @ p
+        pAp = _coldot(p, Ap)
+        alpha = np.divide(rz, pAp, out=np.zeros_like(pAp), where=pAp > 0.0)
+        x += alpha * p
+        r -= alpha * Ap
+        used[cols] += 1
+        rn = _colnorm(r)
+        z = inv_diag[:, None] * r
+        rz_new = _coldot(r, z)
+        beta = np.divide(rz_new, rz, out=np.zeros_like(rz), where=rz > 0.0)
+        p *= beta
+        p += z
+        rz = rz_new
 
 
 def _coldot(A, B) -> np.ndarray:
     """Per-column dot products, each summed row by row in order.
 
-    numpy sums the columns of a 2-D array that way once there are two or
-    more, but a lone column gets pairwise summation; summing it explicitly
-    keeps a column's result independent of how many columns share its block.
+    numpy sums the columns of a C-ordered 2-D array that way once there are
+    two or more, but a lone column gets pairwise summation; summing it
+    explicitly keeps a column's result independent of how many columns
+    share its block.
     """
     if A.shape[1] == 1:
         return np.cumsum(A[:, 0] * B[:, 0])[-1:]
@@ -152,69 +178,3 @@ def _coldot(A, B) -> np.ndarray:
 
 def _colnorm(A) -> np.ndarray:
     return np.sqrt(_coldot(A, A))
-
-
-def _pcg_core(L, inv_diag, B, X, thresholds, budget, cols) -> np.ndarray:
-    """One PCG run over the given columns, updating X in place.
-
-    Returns per-column iteration counts (full-length array). Columns drop
-    out of the working set as their recursive residual passes its threshold
-    or their budget runs out.
-    """
-    used = np.zeros(B.shape[1], dtype=np.int64)
-    alive = np.asarray(cols, dtype=np.int64)
-    Xw = X[:, alive].copy()
-    Rw = B[:, alive] - L @ Xw
-    Zw = inv_diag[:, None] * Rw
-    Pw = Zw.copy()
-    rzw = _coldot(Rw, Zw)
-    thw = thresholds[alive]
-    remw = budget[alive].copy()
-
-    # already satisfied columns exit immediately
-    rn = _colnorm(Rw)
-    done = rn <= thw
-    if done.any():
-        X[:, alive[done]] = Xw[:, done]
-        keep = ~done
-        alive, Xw, Rw, Pw, rzw, thw, remw = _compact(alive, Xw, Rw, Pw, rzw, thw, remw, keep)
-
-    while alive.size:
-        Ap = L @ Pw
-        pAp = _coldot(Pw, Ap)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            alpha = np.where(pAp > 0.0, rzw / pAp, 0.0)
-        Xw += alpha * Pw
-        Rw -= alpha * Ap
-        used[alive] += 1
-        remw -= 1
-
-        rn = _colnorm(Rw)
-        done = (rn <= thw) | (remw <= 0) | (pAp <= 0.0)
-        if done.any():
-            X[:, alive[done]] = Xw[:, done]
-            keep = ~done
-            alive, Xw, Rw, Pw, rzw, thw, remw = _compact(alive, Xw, Rw, Pw, rzw, thw, remw, keep)
-            if not alive.size:
-                break
-
-        Zw = inv_diag[:, None] * Rw
-        rz_new = _coldot(Rw, Zw)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            beta = np.where(rzw > 0.0, rz_new / rzw, 0.0)
-        Pw = Zw + beta * Pw
-        rzw = rz_new
-
-    return used
-
-
-def _compact(alive, Xw, Rw, Pw, rzw, thw, remw, keep):
-    return (
-        alive[keep],
-        Xw[:, keep],
-        Rw[:, keep],
-        Pw[:, keep],
-        rzw[keep],
-        thw[keep],
-        remw[keep],
-    )

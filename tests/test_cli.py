@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from seedwalk import bench
 from seedwalk.cli import main
 
 from conftest import FIG_EDGES, FIG_SEEDS
@@ -244,9 +245,11 @@ def test_detect_direct_over_cap_is_usage_error(tmp_path):
         ["detect", "e", "s", "--out", "x", "--tol", "0"],
         ["verify", "e", "s", "--node", "v", "--walks", "0"],
         ["histogram", "e", "t", "--sigma", "0.2", "--out", "x", "--bins", "0"],
+        ["sweep", "--n", "200", "--avg-k", "10", "--mu", "0.1", "--sigma", "0.2", "--out", "x", "--jobs", "0"],
+        ["histogram", "e", "t", "--sigma", "0.2", "--out", "x", "--jobs", "-2"],
     ],
     ids=["missing-positional", "unknown-subcommand", "bad-tol", "solver-flag", "sweep-tol", "histogram-tol",
-         "tol-nan", "tol-inf", "tol-zero", "walks-zero", "bins-zero"],
+         "tol-nan", "tol-inf", "tol-zero", "walks-zero", "bins-zero", "sweep-jobs-zero", "histogram-jobs-negative"],
 )
 def test_argparse_usage_errors_exit_64(argv, capsys):
     assert main(argv) == 64
@@ -274,8 +277,19 @@ LFR_FLAGS = ["--n", "200", "--avg-k", "10", "--mu", "0.1"]
     ids=["detect-out", "generate-out", "sweep-out", "histogram-out", "generate-avg-k-nan", "sweep-avg-k-nan",
          "histogram-unreachable-pooled"],
 )
-def test_runtime_errors_exit_with_their_code(argv, code, fig_files, tmp_path, capsys):
+def test_runtime_errors_exit_with_their_code(argv, code, fig_files, tmp_path, capsys, monkeypatch):
     edges, seeds = fig_files
+    calls = []
+
+    def spy(real):
+        def call(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("run_sweep", "seed_resample_qualities"):
+        monkeypatch.setattr(bench, name, spy(getattr(bench, name)))
     truth = tmp_path / "fig.truth"
     truth.write_text("".join(f"{lab} 0\n" for lab in dict.fromkeys(FIG_EDGES.split())))
     # two 3-node communities in separate components: one seed leaves the other unreachable
@@ -283,9 +297,16 @@ def test_runtime_errors_exit_with_their_code(argv, code, fig_files, tmp_path, ca
     (tmp_path / "split.truth").write_text("a 0\nb 0\nc 0\nd 1\ne 1\nf 1\n")
     paths = {"edges": edges, "seeds": seeds, "truth": truth, "tmp": tmp_path,
              "split_edges": tmp_path / "split.edges", "split_truth": tmp_path / "split.truth"}
-    assert main([arg.format(**paths) for arg in argv]) == code
+    argv = [arg.format(**paths) for arg in argv]
+    assert main(argv) == code
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+    # an unwritable --out fails before any trial or re-sample runs, and a
+    # failed run leaves no output behind
+    if code == 1:
+        assert calls == []
+    out = Path(argv[argv.index("--out") + 1])
+    assert not list(out.parent.glob(out.name + "*"))
 
 
 def test_help_exits_0(capsys):

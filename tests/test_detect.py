@@ -15,6 +15,7 @@ from seedwalk import (
     run_walks,
 )
 from seedwalk.detect import AffinityMatrix, write_affinity_csv, write_crisp_csv
+from seedwalk.solver import SolveReport
 
 from conftest import path_graph, random_connected_graph
 
@@ -120,7 +121,8 @@ def test_all_nodes_seeds_degenerate():
     g = path_graph(1)
     seeds = SeedSet({v: [1.0, 0.0] if v % 2 else [0.0, 1.0] for v in range(g.n)})
     aff = detect_multi(g, seeds)
-    assert aff.rows.shape[0] == 0
+    assert aff.rows.shape == (0, 2)
+    assert aff.reports == [SolveReport(0, 0.0, True)] * 2
     crisp = assign_crisp(aff)
     assert len(crisp) == g.n
     assert crisp[1] == 0 and crisp[0] == 1
@@ -180,18 +182,21 @@ def test_affinity_csv_format(fig_graph, fig_seeds):
 
 
 def test_affinity_csv_bytes_match_per_value_formatting():
-    g = path_graph(3)
-    rng = np.random.default_rng(67)
-    rows = np.array([[0.0, 1.0, 1e-12], [-3e-7, 1.0000002, 1 / 3], rng.random(3)])
-    aff = AffinityMatrix(np.array([1, 2, 3]), rows, np.array([0, 4]), np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]]))
-    buf = io.StringIO()
-    write_affinity_csv(aff, g, buf)
-    clamped = np.clip(aff.full_rows(), 0.0, 1.0)
-    expected = "node,c0,c1,c2\n" + "".join(
-        g.labels[v] + "," + ",".join(f"{x:.9g}" for x in clamped[v]) + "\n" for v in range(g.n)
-    )
-    assert buf.getvalue() == expected
-    assert "v1,0,1,1e-12\n" in expected and "v2,0,1,0.333333333\n" in expected
+    # a 2100-node path spans more than one of the writer's 1024-row chunks
+    for k in (3, 2100):
+        g = path_graph(k)
+        rng = np.random.default_rng(67)
+        rows = np.vstack([[[0.0, 1.0, 1e-12], [-3e-7, 1.0000002, 1 / 3]], rng.random((k - 2, 3))])
+        seed_rows = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]])
+        aff = AffinityMatrix(np.arange(1, k + 1), rows, np.array([0, k + 1]), seed_rows)
+        buf = io.StringIO()
+        write_affinity_csv(aff, g, buf)
+        clamped = np.clip(aff.full_rows(), 0.0, 1.0)
+        expected = "node,c0,c1,c2\n" + "".join(
+            g.labels[v] + "," + ",".join(f"{x:.9g}" for x in clamped[v]) + "\n" for v in range(g.n)
+        )
+        assert buf.getvalue() == expected
+        assert "v1,0,1,1e-12\n" in expected and "v2,0,1,0.333333333\n" in expected
 
 
 def test_crisp_csv_format(fig_graph, fig_seeds):

@@ -3,8 +3,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seedwalk import SeedSet, build_chain, load_edge_list
+from seedwalk import Graph, SeedSet, build_chain, load_edge_list
 from seedwalk.solver import BLOCK, assemble, solve_iterative_all
 
 from conftest import dense_absorption_oracle, path_graph, random_connected_graph
@@ -109,6 +111,61 @@ def test_blocked_solve_matches_single_columns_bitwise():
         assert np.array_equal(x[:, 0], X[:, j])
         assert report == reports[j]
     assert reports[BLOCK - 1].iterations == 0
+
+
+@pytest.mark.parametrize("n", [300, 1000, 3000])
+def test_columns_leaving_a_block_early_keep_the_others_bitwise(n):
+    # nodes whose only neighbours are seeds have diagonal-only rows in D - A_TT,
+    # so a unit right-hand side on one of them converges in one iteration and
+    # half the block leaves after the first step; the dense columns that stay
+    # must still equal their lone solves bit for bit
+    rng = np.random.default_rng(n)
+    core = random_connected_graph(rng, n)
+    seed_ids = rng.choice(n, size=n // 10, replace=False)
+    pendants = range(n, n + BLOCK // 2)
+    edges = [(u, int(w)) for u in range(n) for w in core.neighbors(u) if u < w]
+    edges += [(v, int(s)) for v in pendants for s in rng.choice(seed_ids, size=2, replace=False)]
+    g = Graph.from_edges(n + BLOCK // 2, edges)
+    seeds = SeedSet({int(v): [1.0] for v in seed_ids})
+    chain = build_chain(g, seeds.ids)
+    system = assemble(chain, seeds)
+    rhs = np.zeros((system.dim, BLOCK))
+    rhs[:, 0::2] = rng.random((system.dim, BLOCK // 2))
+    rhs[chain.transient_index[list(pendants)], np.arange(1, BLOCK, 2)] = 1.0
+    system = dataclasses.replace(system, rhs=rhs)
+    X, reports = solve_iterative_all(system)
+    assert all(reports[j].iterations == 1 for j in range(1, BLOCK, 2))
+    for j in range(BLOCK):
+        x, (report,) = solve_iterative_all(dataclasses.replace(system, rhs=rhs[:, [j]]))
+        assert np.array_equal(x[:, 0], X[:, j])
+        assert report == reports[j]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 40), st.booleans())
+def test_multi_block_solve_properties(seed, n, stochastic):
+    # on a random connected graph with random fractional seed rows over more
+    # than one block: every column equals its lone solve bit for bit, obeys
+    # the maximum principle, and seed rows summing to 1 give affinity rows
+    # summing to 1
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n)
+    ids = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+    rows = rng.random((ids.size, BLOCK + 5))
+    if stochastic:
+        rows /= rows.sum(axis=1, keepdims=True)
+    seeds = SeedSet({int(v): rows[i] for i, v in enumerate(ids)})
+    system = assemble(build_chain(g, seeds.ids), seeds)
+    X, reports = solve_iterative_all(system, tol=1e-12)
+    for j in range(system.communities):
+        x, (report,) = solve_iterative_all(dataclasses.replace(system, rhs=system.rhs[:, [j]]), tol=1e-12)
+        assert np.array_equal(x[:, 0], X[:, j])
+        assert report == reports[j]
+    assert all(r.converged for r in reports)
+    assert (X >= seeds.rows.min(axis=0) - 1e-9).all()
+    assert (X <= seeds.rows.max(axis=0) + 1e-9).all()
+    if stochastic:
+        assert np.abs(X.sum(axis=1) - 1.0).max() <= 1e-6
 
 
 def test_zero_rhs_short_circuits():
