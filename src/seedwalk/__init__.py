@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .bench import CellSummary, TrialResult, histogram, quality, run_sweep, seed_resample_qualities
+from .bench import run_sweep, seed_resample_qualities
 from .detect import AffinityMatrix, assign_crisp, detect_multi
 from .errors import (
     ConvergenceError,
@@ -11,18 +11,15 @@ from .errors import (
     ReachabilityError,
     SeedwalkError,
 )
-from .graph import Graph, check_seed_reachability, load_edge_list, write_edge_list
-from .lfr import LfrParams, PlantedGraph, generate, mixing_fraction, sample_power_law, sample_seeds
+from .graph import Graph, load_edge_list, write_edge_list
+from .lfr import LfrParams, PlantedGraph, generate, mixing_fraction, sample_seeds
 from .markov import AbsorbingChain, build_chain
 from .seeds import SeedSet, load_seed_file, write_seed_file
-from .solver import AbsorbingSystem, SolveReport, assemble
-from .walker import WalkStats, estimate_affinity, run_walks
+from .walker import estimate_affinity, run_walks
 
 __all__ = [
     "AbsorbingChain",
-    "AbsorbingSystem",
     "AffinityMatrix",
-    "CellSummary",
     "ConvergenceError",
     "GenerationError",
     "Graph",
@@ -32,24 +29,16 @@ __all__ = [
     "ReachabilityError",
     "SeedSet",
     "SeedwalkError",
-    "SolveReport",
-    "TrialResult",
-    "WalkStats",
-    "assemble",
     "assign_crisp",
     "build_chain",
-    "check_seed_reachability",
     "detect_multi",
     "estimate_affinity",
     "generate",
-    "histogram",
     "load_edge_list",
     "load_seed_file",
     "mixing_fraction",
-    "quality",
     "run_sweep",
     "run_walks",
-    "sample_power_law",
     "sample_seeds",
     "seed_resample_qualities",
     "write_edge_list",

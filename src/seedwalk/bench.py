@@ -12,7 +12,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import IO, Mapping, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -51,19 +51,11 @@ class CellSummary:
     seconds_mean: float
 
 
-def quality(truth: Mapping[int, int], predicted: Mapping[int, int]) -> float:
-    """Fraction of nodes assigned to their planted community."""
-    if truth.keys() != predicted.keys():
+def membership_quality(pg: PlantedGraph, predicted: np.ndarray) -> float:
+    """Q: the fraction of nodes whose crisp community (indexed by node id) is the planted one."""
+    if np.shape(predicted) != pg.membership.shape:
         raise ValueError("truth and prediction cover different node sets")
-    if not truth:
-        raise ValueError("empty membership maps")
-    hits = sum(1 for v, c in truth.items() if predicted[v] == c)
-    return hits / len(truth)
-
-
-def membership_quality(pg: PlantedGraph, predicted: Mapping[int, int]) -> float:
-    truth = {v: int(c) for v, c in enumerate(pg.membership)}
-    return quality(truth, predicted)
+    return float(np.mean(predicted == pg.membership))
 
 
 def _derived_seed(master: int, *key: int) -> int:

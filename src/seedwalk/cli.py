@@ -31,7 +31,7 @@ from .detect import detect_multi, write_affinity_csv, write_crisp_csv
 from .errors import ConvergenceError, GenerationError, ParseError, ReachabilityError, SeedwalkError
 from .graph import load_edge_list, write_edge_list
 from .lfr import LfrParams
-from .markov import build_chain
+from .markov import AbsorbingChain
 from .seeds import load_seed_file
 
 EXIT_OK = 0
@@ -166,12 +166,13 @@ def cmd_verify(args) -> int:
         raise UsageError(f"node {args.node!r} not in graph") from None
     if node in seeds:
         raise UsageError(f"node {args.node!r} is a seed; pick a non-seed node")
-    chain = build_chain(g, seeds.ids)
     aff = detect_multi(g, seeds, tol=args.tol)
+    # detect_multi has checked reachability, so the chain need not check it again
+    chain = AbsorbingChain(g, seeds.ids)
     try:
         stats = walker.run_walks(chain, node, args.walks, args.rng_seed, step_cap=args.step_cap)
     except SeedwalkError:
-        # build_chain proved every walk is absorbed, so only the cap can stop one
+        # detect_multi proved every walk is absorbed, so only the cap can stop one
         raise UsageError(f"a walk from {args.node!r} exceeded --step-cap {args.step_cap}; raise the cap") from None
     solved = aff.row_for(node)
     threshold = 4.0 * math.sqrt(0.25 / args.walks) + 1e-6

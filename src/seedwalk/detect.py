@@ -48,10 +48,6 @@ class AffinityMatrix:
         out[self.seed_ids] = self.seed_rows
         return out
 
-    def clamped_rows(self) -> np.ndarray:
-        """(n x l) matrix over all nodes, clipped to [0, 1]."""
-        return np.clip(self.full_rows(), 0.0, 1.0)
-
     def row_for(self, node: int) -> np.ndarray:
         """Raw affinity vector of one node."""
         if not 0 <= node < self.n:
@@ -88,13 +84,22 @@ def detect_multi(
     )
 
 
-def assign_crisp(aff: AffinityMatrix) -> dict[int, int]:
-    """Node -> argmax community; ties break to the lowest community index.
+def assign_crisp(aff: AffinityMatrix) -> np.ndarray:
+    """Argmax community per node id (int64); ties break to the lowest index.
 
     Seed nodes are assigned from their given affinity rows.
     """
-    best = np.argmax(aff.full_rows(), axis=1)
-    return {v: int(c) for v, c in enumerate(best)}
+    crisp = np.empty(aff.n, np.int64)
+    crisp[aff.transient_ids] = np.argmax(aff.rows, axis=1)
+    crisp[aff.seed_ids] = np.argmax(aff.seed_rows, axis=1)
+    return crisp
+
+
+def _csv_field(label: str) -> str:
+    """A label as one CSV field: quoted by RFC 4180 only if it holds `,` or `"`."""
+    if "," in label or '"' in label:
+        return '"' + label.replace('"', '""') + '"'
+    return label
 
 
 def write_affinity_csv(aff: AffinityMatrix, g: Graph, stream: IO[str]) -> None:
@@ -102,15 +107,16 @@ def write_affinity_csv(aff: AffinityMatrix, g: Graph, stream: IO[str]) -> None:
     header = "node," + ",".join(f"c{i}" for i in range(aff.l))
     stream.write(header + "\n")
     row_format = "%s" + ",%.9g" * aff.l + "\n"
-    rows = aff.clamped_rows()
+    rows = aff.full_rows()
+    np.clip(rows, 0.0, 1.0, out=rows)
     # 1024 rows at a time: the whole matrix as Python floats is several times its size
     for start in range(0, aff.n, 1024):
-        for label, row in zip(g.labels[start : start + 1024], rows[start : start + 1024].tolist()):
+        labels = map(_csv_field, g.labels[start : start + 1024])
+        for label, row in zip(labels, rows[start : start + 1024].tolist()):
             stream.write(row_format % (label, *row))
 
 
 def write_crisp_csv(aff: AffinityMatrix, g: Graph, stream: IO[str]) -> None:
     stream.write("node,community\n")
-    crisp = assign_crisp(aff)
-    for v in range(aff.n):
-        stream.write(f"{g.labels[v]},{crisp[v]}\n")
+    for label, c in zip(map(_csv_field, g.labels), assign_crisp(aff).tolist()):
+        stream.write(f"{label},{c}\n")

@@ -464,8 +464,9 @@ def load_planted(edge_source, truth_source: str | Path | IO[str] | Iterable[str]
             c = int(comm_s)
         except (KeyError, ValueError):
             raise ParseError(f"line {lineno}: unknown node or bad community index") from None
-        if c < 0:
-            raise ParseError(f"line {lineno}: negative community index")
+        if not 0 <= c < g.n:
+            # a partition of n nodes has at most n parts
+            raise ParseError(f"line {lineno}: community index {c} out of range [0, {g.n})")
         if membership[v] >= 0:
             raise ParseError(f"line {lineno}: duplicate entry for node {lab!r}")
         membership[v] = c

@@ -20,13 +20,12 @@ from .graph import Graph, check_seed_reachability
 class AbsorbingChain:
     """Transient/absorbing partition of a graph's walk chain.
 
-    transient_index maps node id -> position in 0..tau-1 (-1 for seeds);
-    absorbing_index maps node id -> position in 0..sigma-1 (-1 for others).
-    Both orderings are ascending original node id, so results are
-    deterministic across runs.
+    transient lists the non-seed node ids; absorbing_index maps node id ->
+    position in 0..sigma-1 (-1 for transient nodes). Both orderings are
+    ascending original node id, so results are deterministic across runs.
     """
 
-    __slots__ = ("graph", "seeds", "transient", "transient_index", "absorbing_index")
+    __slots__ = ("graph", "seeds", "transient", "absorbing_index")
 
     def __init__(self, graph: Graph, seeds: np.ndarray):
         self.graph = graph
@@ -34,28 +33,19 @@ class AbsorbingChain:
         mask = np.ones(graph.n, dtype=bool)
         mask[seeds] = False
         self.transient = np.flatnonzero(mask)
-        self.transient_index = np.full(graph.n, -1, dtype=np.int64)
-        self.transient_index[self.transient] = np.arange(self.transient.size)
         self.absorbing_index = np.full(graph.n, -1, dtype=np.int64)
         self.absorbing_index[self.seeds] = np.arange(self.seeds.size)
 
     @property
-    def tau(self) -> int:
-        return self.transient.size
-
-    @property
     def sigma(self) -> int:
         return self.seeds.size
-
-    def is_seed(self, v: int) -> bool:
-        return self.absorbing_index[v] >= 0
 
 
 def build_chain(g: Graph, seeds: Iterable[int]) -> AbsorbingChain:
     """Make seeds absorbing; every non-seed must reach some seed.
 
     Raises ReachabilityError listing the offending nodes otherwise.
-    seeds = all nodes is a valid degenerate chain with tau = 0.
+    seeds = all nodes is a valid degenerate chain with no transient node.
     """
     seed_arr = np.unique(np.fromiter(seeds, dtype=np.int64))
     if seed_arr.size == 0:

@@ -39,12 +39,6 @@ class SeedSet:
         i = np.searchsorted(self.ids, node)
         return i < len(self.ids) and self.ids[i] == node
 
-    def row(self, node: int) -> np.ndarray:
-        i = np.searchsorted(self.ids, node)
-        if i >= len(self.ids) or self.ids[i] != node:
-            raise KeyError(f"node {node} is not a seed")
-        return self.rows[i]
-
     def items(self) -> Iterable[tuple[int, np.ndarray]]:
         return zip(self.ids.tolist(), self.rows)
 
@@ -63,7 +57,8 @@ def load_seed_file(source: str | Path | IO[str] | Iterable[str], g: Graph) -> Se
     """Parse seed affinities: lines of `node-label community-index affinity`.
 
     A node may appear on several lines, one per community; unlisted
-    communities get affinity 0. Community indices must be dense 0..l-1.
+    communities get affinity 0. l is one more than the largest community
+    index; an index that no line uses leaves an all-zero column.
     """
     triples: dict[tuple[int, int], float] = {}
     max_comm = -1

@@ -47,7 +47,7 @@ def run_walks(
     The step cap is a tripwire only: absorption is certain on a valid
     chain, so hitting it means the chain was built wrong.
     """
-    if chain.is_seed(start):
+    if chain.absorbing_index[start] >= 0:
         raise ValueError(f"start node {start} is a seed")
     if walks < 1:
         raise ValueError("walks must be >= 1")

@@ -73,7 +73,7 @@ def test_criterion_3_oracle_equivalence():
         assert all(r.converged for r in reports)
         assert np.abs(oracle - iterative).max() <= 1e-6
 
-        sample = rng.choice(chain.tau, size=min(10, chain.tau), replace=False)
+        sample = rng.choice(chain.transient.size, size=min(10, chain.transient.size), replace=False)
         for t_idx in sample:
             v = int(chain.transient[t_idx])
             stats = run_walks(chain, v, walks=100_000, rng_seed=graph_idx * 1000 + v)

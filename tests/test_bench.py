@@ -3,31 +3,33 @@ import io
 import numpy as np
 import pytest
 
-from seedwalk import LfrParams, histogram, quality, run_sweep, seed_resample_qualities
-from seedwalk.bench import run_trial, write_histogram_csv, write_results_csv
-from seedwalk.lfr import generate
+from seedwalk import LfrParams, load_edge_list, run_sweep, seed_resample_qualities
+from seedwalk.bench import histogram, membership_quality, run_trial, write_histogram_csv, write_results_csv
+from seedwalk.lfr import PlantedGraph, generate
+
+
+def _planted(truth):
+    # a path over len(truth) nodes, labelled 0, 1, ... in node id order
+    g = load_edge_list(io.StringIO("".join(f"{i} {i + 1}\n" for i in range(len(truth) - 1))))
+    return PlantedGraph(graph=g, membership=np.array(truth, dtype=np.int64))
 
 
 def test_quality_identical_maps():
-    m = {0: 1, 1: 2, 2: 1}
-    assert quality(m, dict(m)) == 1.0
+    truth = [1, 2, 1]
+    assert membership_quality(_planted(truth), np.array(truth)) == 1.0
 
 
 def test_quality_all_wrong():
-    truth = {0: 0, 1: 0}
-    pred = {0: 1, 1: 1}
-    assert quality(truth, pred) == 0.0
+    assert membership_quality(_planted([0, 0]), np.array([1, 1])) == 0.0
 
 
 def test_quality_three_of_four():
-    truth = {0: 0, 1: 1, 2: 2, 3: 3}
-    pred = {0: 0, 1: 1, 2: 2, 3: 0}
-    assert quality(truth, pred) == 0.75
+    assert membership_quality(_planted([0, 1, 2, 3]), np.array([0, 1, 2, 0])) == 0.75
 
 
 def test_quality_key_mismatch():
     with pytest.raises(ValueError, match="different node sets"):
-        quality({0: 0}, {1: 0})
+        membership_quality(_planted([0, 0]), np.array([0, 0, 0]))
 
 
 def test_histogram_single_spike():

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -273,9 +274,11 @@ LFR_FLAGS = ["--n", "200", "--avg-k", "10", "--mu", "0.1"]
           "--jobs", "1", "--out", "{tmp}/s.csv"], 4),
         (["histogram", "{split_edges}", "{split_truth}", "--sigma", "0.2", "--runs", "2", "--jobs", "2",
           "--out", "{tmp}/h.csv"], 2),
+        (["histogram", "{edges}", "{huge_truth}", "--sigma", "0.3", "--runs", "1", "--jobs", "1",
+          "--out", "{tmp}/h.csv"], 1),
     ],
     ids=["detect-out", "generate-out", "sweep-out", "histogram-out", "generate-avg-k-nan", "sweep-avg-k-nan",
-         "histogram-unreachable-pooled"],
+         "histogram-unreachable-pooled", "histogram-huge-community"],
 )
 def test_runtime_errors_exit_with_their_code(argv, code, fig_files, tmp_path, capsys, monkeypatch):
     edges, seeds = fig_files
@@ -292,10 +295,13 @@ def test_runtime_errors_exit_with_their_code(argv, code, fig_files, tmp_path, ca
         monkeypatch.setattr(bench, name, spy(getattr(bench, name)))
     truth = tmp_path / "fig.truth"
     truth.write_text("".join(f"{lab} 0\n" for lab in dict.fromkeys(FIG_EDGES.split())))
+    # an index beyond int64 must be a parse error, not an OverflowError
+    huge_truth = tmp_path / "huge.truth"
+    huge_truth.write_text(truth.read_text().replace(" 0\n", " 1000000000000000000000000000000\n", 1))
     # two 3-node communities in separate components: one seed leaves the other unreachable
     (tmp_path / "split.edges").write_text("a b\nb c\nd e\ne f\n")
     (tmp_path / "split.truth").write_text("a 0\nb 0\nc 0\nd 1\ne 1\nf 1\n")
-    paths = {"edges": edges, "seeds": seeds, "truth": truth, "tmp": tmp_path,
+    paths = {"edges": edges, "seeds": seeds, "truth": truth, "huge_truth": huge_truth, "tmp": tmp_path,
              "split_edges": tmp_path / "split.edges", "split_truth": tmp_path / "split.truth"}
     argv = [arg.format(**paths) for arg in argv]
     assert main(argv) == code
@@ -307,6 +313,20 @@ def test_runtime_errors_exit_with_their_code(argv, code, fig_files, tmp_path, ca
         assert calls == []
     out = Path(argv[argv.index("--out") + 1])
     assert not list(out.parent.glob(out.name + "*"))
+
+
+def test_detect_quotes_labels_holding_comma_or_quote(tmp_path):
+    edges, seeds = tmp_path / "q.edges", tmp_path / "q.seeds"
+    edges.write_text('a,b c\nc "d\n')
+    seeds.write_text('a,b 0 1\n"d 1 1\n')
+    assert main(["detect", str(edges), str(seeds), "--out", str(tmp_path / "q")]) == 0
+    assert (tmp_path / "q.crisp.csv").read_text() == 'node,community\n"a,b",0\nc,0\n"""d",1\n'
+    for suffix, header in (("affinity", ["node", "c0", "c1"]), ("crisp", ["node", "community"])):
+        with open(tmp_path / f"q.{suffix}.csv", newline="", encoding="utf-8") as fh:
+            records = list(csv.reader(fh))
+        assert records[0] == header
+        assert [r[0] for r in records[1:]] == ["a,b", "c", '"d']
+        assert all(len(r) == len(header) for r in records)
 
 
 def test_help_exits_0(capsys):
@@ -356,3 +376,23 @@ def test_cli_import_leaves_out_dense_linear_algebra():
     src = str(Path(seedwalk.__file__).resolve().parents[1])
     code = f"import sys; sys.path.insert(0, {src!r}); import seedwalk.cli; sys.exit('scipy.linalg' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], check=False).returncode == 0
+
+
+PUBLIC_API = [
+    "AbsorbingChain", "AffinityMatrix", "ConvergenceError", "GenerationError", "Graph", "LfrParams",
+    "ParseError", "PlantedGraph", "ReachabilityError", "SeedSet", "SeedwalkError", "assign_crisp",
+    "build_chain", "detect_multi", "estimate_affinity", "generate", "load_edge_list", "load_seed_file",
+    "mixing_fraction", "run_sweep", "run_walks", "sample_seeds", "seed_resample_qualities",
+    "write_edge_list", "write_seed_file",
+]
+
+
+def test_public_surface_is_the_documented_list():
+    import seedwalk
+
+    assert set(seedwalk.__all__) == set(PUBLIC_API)
+    assert len(seedwalk.__all__) == len(PUBLIC_API)
+    for name in PUBLIC_API:
+        assert getattr(seedwalk, name) is not None
+    readme = (Path(seedwalk.__file__).resolve().parents[2] / "README.md").read_text(encoding="utf-8")
+    assert all(f"`{name}`" in readme for name in PUBLIC_API)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seedwalk import Graph, ParseError, check_seed_reachability, load_edge_list, write_edge_list
+from seedwalk import Graph, ParseError, load_edge_list, write_edge_list
+from seedwalk.graph import check_seed_reachability
 
 from conftest import labelled_edges, random_connected_graph
 
@@ -148,8 +149,9 @@ def test_seed_file_sparse_community_indices():
     g = load_edge_list(io.StringIO("a b\nb c\n"))
     s = load_seed_file(io.StringIO("a 0 1\nc 2 0.5\n"), g)
     assert s.l == 3
-    assert s.row(g.id_of("a")).tolist() == [1.0, 0.0, 0.0]
-    assert s.row(g.id_of("c")).tolist() == [0.0, 0.0, 0.5]
+    row = {int(v): r.tolist() for v, r in s.items()}
+    assert row[g.id_of("a")] == [1.0, 0.0, 0.0]
+    assert row[g.id_of("c")] == [0.0, 0.0, 0.5]
 
 
 def test_seed_file_errors():

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seedwalk import GenerationError, LfrParams, ParseError, generate, mixing_fraction, sample_power_law, sample_seeds
+from seedwalk import GenerationError, LfrParams, ParseError, generate, mixing_fraction, sample_seeds
 from seedwalk.graph import load_edge_list, write_edge_list
-from seedwalk.lfr import PlantedGraph, internal_degree, load_planted, write_truth
+from seedwalk.lfr import PlantedGraph, internal_degree, load_planted, sample_power_law, write_truth
 
 from conftest import labelled_edges, random_connected_graph
 
@@ -192,13 +192,18 @@ def test_truth_file_node_listed_twice_rejected():
     edges = io.StringIO("a b\nb c\n")
     with pytest.raises(ParseError, match="line 4: duplicate entry for node 'b'"):
         load_planted(edges, io.StringIO("a 0\nb 0\nc 1\nb 1\n"))
+    # a partition of 3 nodes has at most 3 parts; 10^30 does not even fit int64
+    for index in ("3", "-1", "1000000000000000000000000000000"):
+        with pytest.raises(ParseError, match=f"line 2: community index {index} out of range"):
+            load_planted(io.StringIO("a b\nb c\n"), io.StringIO(f"a 0\nb {index}\nc 1\n"))
 
 
 @settings(max_examples=100, deadline=None)
 @given(labelled_edges(), st.data())
 def test_truth_round_trip_property(case, data):
     g = load_edge_list(io.StringIO(case[1]))
-    membership = np.array(data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n)))
+    # a partition of n nodes has at most n parts, so indices stay below n
+    membership = np.array(data.draw(st.lists(st.integers(0, min(3, g.n - 1)), min_size=g.n, max_size=g.n)))
     pg = PlantedGraph(graph=g, membership=membership, sizes=np.bincount(membership).tolist())
     edges, truth = io.StringIO(), io.StringIO()
     write_edge_list(g, edges)

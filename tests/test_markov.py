@@ -11,7 +11,7 @@ from conftest import path_graph, random_connected_graph
 
 def transition_row(chain, v):
     """Out-transitions of transient node v: (neighbor, 1/deg(v)) per neighbor."""
-    if chain.is_seed(v):
+    if chain.absorbing_index[v] >= 0:
         raise ValueError(f"node {v} is absorbing; its row is the implicit identity")
     nbrs = chain.graph.neighbors(v)
     p = 1.0 / nbrs.size
@@ -21,7 +21,7 @@ def transition_row(chain, v):
 def test_path_chain_partition():
     g = path_graph(3)  # s - v1 - v2 - v3 - t
     chain = build_chain(g, {g.id_of("s"), g.id_of("t")})
-    assert chain.tau == 3
+    assert chain.transient.size == 3
     assert chain.sigma == 2
     row = dict(transition_row(chain, g.id_of("v1")))
     assert row[g.id_of("s")] == pytest.approx(0.5)
@@ -30,14 +30,14 @@ def test_path_chain_partition():
 
 def test_fig_chain_sizes(fig_graph, fig_seeds):
     chain = build_chain(fig_graph, fig_seeds.ids)
-    assert chain.tau == 9
+    assert chain.transient.size == 9
     assert chain.sigma == 2
 
 
 def test_all_nodes_seeds_degenerate():
     g = path_graph(1)
     chain = build_chain(g, set(range(g.n)))
-    assert chain.tau == 0
+    assert chain.transient.size == 0
     assert chain.sigma == g.n
 
 
@@ -95,12 +95,12 @@ def test_empty_seed_set_rejected():
 
 
 def _dense_q(chain):
-    q = np.zeros((chain.tau, chain.tau))
+    tau = chain.transient.size
+    q = np.zeros((tau, tau))
     for i, v in enumerate(chain.transient):
         for w, p in transition_row(chain, int(v)):
-            j = chain.transient_index[w]
-            if j >= 0:
-                q[i, j] = p
+            if chain.absorbing_index[w] < 0:
+                q[i, np.searchsorted(chain.transient, w)] = p
     return q
 
 
@@ -112,7 +112,7 @@ def test_transient_mass_decays(seed):
     seeds = set(int(v) for v in rng.choice(g.n, size=6, replace=False))
     chain = build_chain(g, seeds)
     q = _dense_q(chain)
-    vec = np.ones(chain.tau)
+    vec = np.ones(chain.transient.size)
     norms = []
     for _ in range(400):
         vec = q @ vec

@@ -66,7 +66,7 @@ def test_direct_fig_pair(fig_graph, fig_seeds):
     system = assemble(chain, fig_seeds)
     x0 = _solve_exact(system, 0)
     x1 = _solve_exact(system, 1)
-    iv = chain.transient_index[fig_graph.id_of("v")]
+    iv = np.searchsorted(chain.transient, fig_graph.id_of("v"))
     assert x0[iv] == pytest.approx(1 / 3, abs=1e-12)
     assert x1[iv] == pytest.approx(2 / 3, abs=1e-12)
 
@@ -131,7 +131,7 @@ def test_columns_leaving_a_block_early_keep_the_others_bitwise(n):
     system = assemble(chain, seeds)
     rhs = np.zeros((system.dim, BLOCK))
     rhs[:, 0::2] = rng.random((system.dim, BLOCK // 2))
-    rhs[chain.transient_index[list(pendants)], np.arange(1, BLOCK, 2)] = 1.0
+    rhs[np.searchsorted(chain.transient, list(pendants)), np.arange(1, BLOCK, 2)] = 1.0
     system = dataclasses.replace(system, rhs=rhs)
     X, reports = solve_iterative_all(system)
     assert all(reports[j].iterations == 1 for j in range(1, BLOCK, 2))
