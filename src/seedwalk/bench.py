@@ -2,9 +2,18 @@
 
 Q is the fraction of nodes whose crisp assignment matches the planted
 community (seeds included; their given indicator rows make them correct by
-construction). Sweeps run one trial per (cell, trial-index) with rng
-substreams derived from the master seed, so results are independent of
-execution order and worker count.
+construction). A community that no seed covers has an all-zero affinity
+column, so none of its nodes is assigned to it and all of them count as
+wrong; the run still counts, and its record says how many communities the
+seeds missed.
+
+Sweep trials and histogram re-samples run through one runner. ``_run``
+times one run: for a sweep trial it first generates the graph, then it
+samples seeds, detects, assigns and scores. It records a ``SeedwalkError``
+in the run's ``TrialResult`` instead of raising it. ``_pool_map`` runs a
+task list serially or in a process pool, one task per hand-out. Every run
+draws its randomness from its own (rng seed, index) substream, so results
+are independent of execution order and worker count.
 """
 
 from __future__ import annotations
@@ -23,19 +32,25 @@ from .lfr import LfrParams, PlantedGraph, generate, sample_seeds
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One benchmark run: generated graph + sampled seeds + detection."""
+    """One run: a sweep trial on its own generated graph (params set), or a
+    seed re-sample on a fixed graph (params None)."""
 
-    params: LfrParams
+    params: LfrParams | None
     sigma: float
     trial_index: int
     rng_seed: int
     q: float
     seconds: float
-    error: str | None = None
+    uncovered: int  # communities the sampled seeds missed
+    failure: SeedwalkError | None = None
 
     @property
     def ok(self) -> bool:
-        return self.error is None
+        return self.failure is None
+
+    @property
+    def error(self) -> str | None:
+        return None if self.ok else f"{type(self.failure).__name__}: {self.failure}"
 
 
 @dataclass(frozen=True)
@@ -63,44 +78,37 @@ def _derived_seed(master: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def run_trial(
-    params: LfrParams,
-    sigma: float,
-    cell_index: int,
-    trial_index: int,
-    master_seed: int,
-) -> TrialResult:
-    """Generate, sample seeds, detect, assign, score. Failures are recorded,
-    not raised, so a sweep cell can be marked incomplete."""
-    graph_seed = _derived_seed(master_seed, cell_index, trial_index)
-    seed_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(cell_index, trial_index, 1))
-    )
-    trial_params = replace(params, rng_seed=graph_seed)
+def _run(source: LfrParams | PlantedGraph, sigma: float, index: int, master_seed: int, key: tuple) -> TrialResult:
+    """Generate (if source is LfrParams), sample seeds from the `key`
+    substream, detect, assign, score. Failures are recorded, not raised."""
+    params = source if isinstance(source, LfrParams) else None
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=key))
+    q, uncovered, failure = float("nan"), [], None
     start = perf_counter()
     try:
-        pg = generate(trial_params)
-        seeds, _uncovered = sample_seeds(pg, sigma, seed_rng)
-        aff = detect_multi(pg.graph, seeds)
-        q = membership_quality(pg, assign_crisp(aff))
-        err = None
+        pg = source if params is None else generate(params)
+        seeds, uncovered = sample_seeds(pg, sigma, rng)
+        q = membership_quality(pg, assign_crisp(detect_multi(pg.graph, seeds)))
     except SeedwalkError as exc:
-        q = float("nan")
-        err = f"{type(exc).__name__}: {exc}"
-    return TrialResult(
-        params=trial_params,
-        sigma=sigma,
-        trial_index=trial_index,
-        rng_seed=master_seed,
-        q=q,
-        seconds=perf_counter() - start,
-        error=err,
-    )
+        failure = exc.with_traceback(None)  # its frames would keep the failed run's graph alive
+    return TrialResult(params, sigma, index, master_seed, q, perf_counter() - start, len(uncovered), failure)
 
 
-def _trial_task(args) -> tuple[int, TrialResult]:
-    cell_index, trial_index, params, sigma, master_seed = args
-    return cell_index, run_trial(params, sigma, cell_index, trial_index, master_seed)
+def run_trial(params: LfrParams, sigma: float, cell_index: int, trial_index: int, master_seed: int) -> TrialResult:
+    """One sweep trial: a graph from the (master_seed, cell, trial) substream, then `_run`."""
+    graph_params = replace(params, rng_seed=_derived_seed(master_seed, cell_index, trial_index))
+    return _run(graph_params, sigma, trial_index, master_seed, (cell_index, trial_index, 1))
+
+
+def _pool_map(fn, tasks: list[tuple], jobs: int) -> list[TrialResult]:
+    """fn(*task) for every task, in task order; in a pool when jobs and tasks allow."""
+    if jobs <= 1 or len(tasks) <= 1:
+        return [fn(*task) for task in tasks]
+    # one task per hand-out: trial cost is heavy-tailed (a generation retry
+    # can cost ten median trials), so coarser chunks leave a worker idle
+    # behind the slowest chunk
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, *zip(*tasks), chunksize=1))
 
 
 def run_sweep(
@@ -109,38 +117,15 @@ def run_sweep(
     rng_seed: int,
     jobs: int = 1,
 ) -> tuple[list[TrialResult], list[CellSummary]]:
-    """All trials for every (params, sigma) cell, optionally in parallel.
-
-    Deterministic under rng_seed regardless of jobs: every trial's
-    randomness comes from (rng_seed, cell, trial) substreams and
-    aggregation is order-independent.
-    """
+    """All trials for every (params, sigma) cell, cell by cell, optionally in
+    parallel; deterministic under rng_seed regardless of jobs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    tasks = [
-        (ci, ti, params, sigma, rng_seed)
-        for ci, (params, sigma) in enumerate(cells)
-        for ti in range(trials)
+    tasks = [(params, sigma, ci, ti, rng_seed) for ci, (params, sigma) in enumerate(cells) for ti in range(trials)]
+    results = _pool_map(run_trial, tasks, jobs)
+    summaries = [
+        _summarize(params, sigma, results[ci * trials : (ci + 1) * trials]) for ci, (params, sigma) in enumerate(cells)
     ]
-    by_cell: dict[int, list[TrialResult]] = {ci: [] for ci in range(len(cells))}
-    if jobs > 1 and len(tasks) > 1:
-        # one trial per hand-out: trial cost is heavy-tailed (a generation
-        # retry can cost ten median trials), so coarser chunks leave a worker
-        # idle behind the slowest chunk
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for ci, result in pool.map(_trial_task, tasks, chunksize=1):
-                by_cell[ci].append(result)
-    else:
-        for task in tasks:
-            ci, result = _trial_task(task)
-            by_cell[ci].append(result)
-
-    results: list[TrialResult] = []
-    summaries: list[CellSummary] = []
-    for ci, (params, sigma) in enumerate(cells):
-        cell_results = sorted(by_cell[ci], key=lambda r: r.trial_index)
-        results.extend(cell_results)
-        summaries.append(_summarize(params, sigma, cell_results))
     return results, summaries
 
 
@@ -160,29 +145,16 @@ def _summarize(params: LfrParams, sigma: float, cell_results: list[TrialResult])
     )
 
 
-def _resample_task(args) -> float:
-    pg, sigma, run_index, master_seed = args
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(run_index,)))
-    seeds, _ = sample_seeds(pg, sigma, rng)
-    aff = detect_multi(pg.graph, seeds)
-    return membership_quality(pg, assign_crisp(aff))
-
-
-def seed_resample_qualities(
-    pg: PlantedGraph,
-    sigma: float,
-    runs: int,
-    rng_seed: int,
-    jobs: int = 1,
-) -> list[float]:
-    """Q for repeated random seed choices on one fixed graph."""
+def seed_resamples(pg: PlantedGraph, sigma: float, runs: int, rng_seed: int, jobs: int = 1) -> list[TrialResult]:
+    """One record per random seed choice on one fixed graph, in run order."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    tasks = [(pg, sigma, i, rng_seed) for i in range(runs)]
-    if jobs > 1 and runs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_resample_task, tasks, chunksize=8))
-    return [_resample_task(t) for t in tasks]
+    return _pool_map(_run, [(pg, sigma, i, rng_seed, (i,)) for i in range(runs)], jobs)
+
+
+def seed_resample_qualities(pg: PlantedGraph, sigma: float, runs: int, rng_seed: int, jobs: int = 1) -> list[float]:
+    """Q of each re-sample that succeeded, in run order."""
+    return [r.q for r in seed_resamples(pg, sigma, runs, rng_seed, jobs) if r.ok]
 
 
 def histogram(values: Sequence[float], bins: int) -> list[tuple[float, float, float]]:

@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -67,6 +68,15 @@ def _write_manifest(path: Path, subcommand: str, args: argparse.Namespace, extra
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
+
+
+def _failure_report(records: list[bench.TrialResult]) -> dict:
+    """Manifest fields for a set of runs: failure count by exception class,
+    and how many runs' seeds missed at least one community."""
+    return {
+        "failure_causes": dict(Counter(type(r.failure).__name__ for r in records if not r.ok)),
+        "uncovered": sum(r.uncovered > 0 for r in records),
+    }
 
 
 @contextlib.contextmanager
@@ -201,7 +211,7 @@ def cmd_sweep(args) -> int:
 
     out = Path(args.out)
     with _csv_out(out) as fh:
-        _, summaries = bench.run_sweep(cells, args.trials, args.rng_seed, jobs=args.jobs)
+        records, summaries = bench.run_sweep(cells, args.trials, args.rng_seed, jobs=args.jobs)
         bench.write_results_csv(summaries, fh)
     _write_manifest(
         out.with_suffix(".manifest.json"),
@@ -216,8 +226,9 @@ def cmd_sweep(args) -> int:
                     "trials": s.trials,
                     "failures": s.failures,
                     "seconds_mean": s.seconds_mean,
+                    **_failure_report(records[i * args.trials : (i + 1) * args.trials]),
                 }
-                for s in summaries
+                for i, s in enumerate(summaries)
             ],
         },
     )
@@ -235,15 +246,22 @@ def cmd_histogram(args) -> int:
         raise UsageError(f"--sigma must give at least one seed among {pg.graph.n} nodes")
     out = Path(args.out)
     with _csv_out(out) as fh:
-        qualities = bench.seed_resample_qualities(pg, args.sigma, args.runs, args.rng_seed, jobs=args.jobs)
+        records = bench.seed_resamples(pg, args.sigma, args.runs, args.rng_seed, jobs=args.jobs)
+        qualities = [r.q for r in records if r.ok]
+        if not qualities:
+            raise records[0].failure
         bench.write_histogram_csv(bench.histogram(qualities, args.bins), fh)
+    q_mean = float(sum(qualities) / len(qualities))
     _write_manifest(
         out.with_suffix(".manifest.json"),
         "histogram",
         args,
-        {"outputs": [str(out)], "q_mean": float(sum(qualities) / len(qualities))},
+        {"outputs": [str(out)], "q_mean": q_mean, "runs_ok": len(qualities), **_failure_report(records)},
     )
-    print(f"{args.runs} runs: mean Q {sum(qualities) / len(qualities):.3f}")
+    failed = len(records) - len(qualities)
+    if failed:
+        print(f"warning: {failed} re-sample(s) failed; binned the {len(qualities)} that succeeded", file=sys.stderr)
+    print(f"{len(qualities)} runs: mean Q {q_mean:.3f}")
     return EXIT_OK
 
 

@@ -107,12 +107,17 @@ def write_affinity_csv(aff: AffinityMatrix, g: Graph, stream: IO[str]) -> None:
     header = "node," + ",".join(f"c{i}" for i in range(aff.l))
     stream.write(header + "\n")
     row_format = "%s" + ",%.9g" * aff.l + "\n"
-    rows = aff.full_rows()
-    np.clip(rows, 0.0, 1.0, out=rows)
-    # 1024 rows at a time: the whole matrix as Python floats is several times its size
+    # 1024 node ids at a time, each block gathered from rows and seed_rows
+    # (both in ascending id order) and clipped: neither the n x l matrix nor
+    # its Python floats are ever held whole
     for start in range(0, aff.n, 1024):
-        labels = map(_csv_field, g.labels[start : start + 1024])
-        for label, row in zip(labels, rows[start : start + 1024].tolist()):
+        stop = min(start + 1024, aff.n)
+        block = np.empty((stop - start, aff.l))
+        for ids, values in ((aff.transient_ids, aff.rows), (aff.seed_ids, aff.seed_rows)):
+            lo, hi = np.searchsorted(ids, [start, stop])
+            block[ids[lo:hi] - start] = values[lo:hi]
+        np.clip(block, 0.0, 1.0, out=block)
+        for label, row in zip(map(_csv_field, g.labels[start:stop]), block.tolist()):
             stream.write(row_format % (label, *row))
 
 

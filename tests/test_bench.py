@@ -4,14 +4,21 @@ import numpy as np
 import pytest
 
 from seedwalk import LfrParams, load_edge_list, run_sweep, seed_resample_qualities
-from seedwalk.bench import histogram, membership_quality, run_trial, write_histogram_csv, write_results_csv
+from seedwalk.bench import (
+    histogram,
+    membership_quality,
+    run_trial,
+    seed_resamples,
+    write_histogram_csv,
+    write_results_csv,
+)
 from seedwalk.lfr import PlantedGraph, generate
 
 
 def _planted(truth):
     # a path over len(truth) nodes, labelled 0, 1, ... in node id order
     g = load_edge_list(io.StringIO("".join(f"{i} {i + 1}\n" for i in range(len(truth) - 1))))
-    return PlantedGraph(graph=g, membership=np.array(truth, dtype=np.int64))
+    return PlantedGraph(graph=g, membership=np.array(truth, dtype=np.int64), sizes=np.bincount(truth).tolist())
 
 
 def test_quality_identical_maps():
@@ -68,6 +75,11 @@ def test_sweep_requires_trials():
         run_sweep([], trials=0, rng_seed=0)
 
 
+def _all_but_seconds(records):
+    # a failed run's Q is nan, which equals nothing, so compare it as text
+    return [(r.params, r.sigma, r.trial_index, r.rng_seed, repr(r.q), r.uncovered, r.error) for r in records]
+
+
 def test_sweep_deterministic_across_workers():
     cells = [
         (LfrParams(n=250, avg_k=12, gamma=2.0, beta_exp=2.0, mu=0.2), 0.15),
@@ -76,7 +88,34 @@ def test_sweep_deterministic_across_workers():
     r1, s1 = run_sweep(cells, trials=4, rng_seed=13, jobs=1)
     r2, s2 = run_sweep(cells, trials=4, rng_seed=13, jobs=2)
     assert [t.q for t in r1] == [t.q for t in r2]
+    assert _all_but_seconds(r1) == _all_but_seconds(r2)  # error and uncovered included
     assert [c.q_mean for c in s1] == [c.q_mean for c in s2]
+
+
+def _split_graph():
+    # two 3-node components, each holding nodes of both communities: two
+    # seeds in one component leave the other unreachable
+    g = load_edge_list(io.StringIO("a b\nb c\nd e\ne f\n"))
+    return PlantedGraph(graph=g, membership=np.array([0, 0, 1, 0, 1, 1], dtype=np.int64), sizes=[3, 3])
+
+
+def test_seed_resamples_deterministic_across_workers():
+    r1 = seed_resamples(_split_graph(), 0.3, runs=8, rng_seed=0, jobs=1)
+    r2 = seed_resamples(_split_graph(), 0.3, runs=8, rng_seed=0, jobs=2)
+    assert _all_but_seconds(r1) == _all_but_seconds(r2)
+    assert [r.trial_index for r in r1] == list(range(8))
+    assert sum(r.ok for r in r1) == 4
+    assert all(r.error.startswith("ReachabilityError: ") for r in r1 if not r.ok)
+    assert seed_resample_qualities(_split_graph(), 0.3, runs=8, rng_seed=0) == [r.q for r in r1 if r.ok]
+
+
+def test_uncovered_community_is_recorded_and_scored_as_wrong():
+    # one seed on a connected path: the other community has no seed, so its
+    # affinity column is zero and none of its nodes is assigned to it
+    for r in seed_resamples(_planted([0, 0, 1, 1]), 0.25, runs=4, rng_seed=0):
+        assert r.ok and r.params is None
+        assert r.uncovered == 1
+        assert r.q == 0.5
 
 
 def test_trial_records_generation_failure():

@@ -182,6 +182,41 @@ def test_histogram_command(tmp_path):
     assert sum(1 for f in freqs if f > 0) == 1  # constant Q at mu=0
 
 
+def test_histogram_bins_the_resamples_that_succeed(tmp_path, capsys):
+    # two components, each holding both communities: 4 of these 8 seed
+    # draws leave one component without a seed
+    (tmp_path / "split.edges").write_text("a b\nb c\nd e\ne f\n")
+    (tmp_path / "split.truth").write_text("a 0\nb 0\nc 1\nd 0\ne 1\nf 1\n")
+    out = tmp_path / "h.csv"
+    code = main(["histogram", str(tmp_path / "split.edges"), str(tmp_path / "split.truth"),
+                 "--sigma", "0.3", "--runs", "8", "--rng-seed", "0", "--jobs", "2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.out + captured.err
+    assert "warning: 4 re-sample(s) failed" in captured.err
+    freqs = [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
+    assert sum(freqs) == pytest.approx(1.0)
+    manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+    assert manifest["runs_ok"] == 4
+    assert manifest["failure_causes"] == {"ReachabilityError": 4}
+    assert manifest["uncovered"] == 0
+
+
+def test_sweep_manifest_records_failures_and_coverage_gaps(tmp_path, capsys):
+    # 10 seeds among ~10 communities: at mu=0 a community without a seed is
+    # a component no walk leaves; at mu=0.3 it is reachable and scored as Q
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--n", "200", "--avg-k", "10", "--mu", "0.0,0.3", "--sigma", "0.05",
+                 "--trials", "3", "--rng-seed", "1", "--jobs", "1", "--out", str(out)])
+    assert code == 0
+    assert "warning: 3 trial(s) failed" in capsys.readouterr().err
+    cells = json.loads(out.with_suffix(".manifest.json").read_text())["cells"]
+    assert [(c["failures"], c["failure_causes"], c["uncovered"]) for c in cells] == [
+        (3, {"ReachabilityError": 3}, 3),
+        (0, {}, 3),
+    ]
+
+
 def test_histogram_usage_errors(tmp_path):
     gen = tmp_path / "g"
     main(["generate", "--n", "250", "--avg-k", "12", "--gamma", "2",
@@ -291,7 +326,7 @@ def test_runtime_errors_exit_with_their_code(argv, code, fig_files, tmp_path, ca
 
         return call
 
-    for name in ("run_sweep", "seed_resample_qualities"):
+    for name in ("run_sweep", "seed_resamples"):
         monkeypatch.setattr(bench, name, spy(getattr(bench, name)))
     truth = tmp_path / "fig.truth"
     truth.write_text("".join(f"{lab} 0\n" for lab in dict.fromkeys(FIG_EDGES.split())))
