@@ -17,6 +17,7 @@ from seedwalk import (
     detect_multi,
     estimate_affinity,
     generate,
+    mixing_fraction,
     run_sweep,
     run_walks,
     sample_seeds,
@@ -144,6 +145,7 @@ def test_criterion_6_scale_runtime():
     pg = generate(params)
     assert pg.n_communities >= 200
     assert 1.2e5 <= pg.graph.m <= 1.8e5
+    assert abs(mixing_fraction(pg) - 0.3) <= 0.05
     seeds, _ = sample_seeds(pg, 0.1, np.random.default_rng(6))
     aff = detect_multi(pg.graph, seeds)
     assert aff.l == pg.n_communities

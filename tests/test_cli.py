@@ -213,7 +213,7 @@ def test_sweep_manifest_records_failures_and_coverage_gaps(tmp_path, capsys):
     cells = json.loads(out.with_suffix(".manifest.json").read_text())["cells"]
     assert [(c["failures"], c["failure_causes"], c["uncovered"]) for c in cells] == [
         (3, {"ReachabilityError": 3}, 3),
-        (0, {}, 3),
+        (0, {}, 2),
     ]
 
 
@@ -307,12 +307,14 @@ LFR_FLAGS = ["--n", "200", "--avg-k", "10", "--mu", "0.1"]
         (["generate", "--n", "200", "--avg-k", "nan", "--mu", "0.1", "--out", "{tmp}/x"], 4),
         (["sweep", "--n", "200", "--avg-k", "nan", "--mu", "0.1", "--sigma", "0.2", "--trials", "1",
           "--jobs", "1", "--out", "{tmp}/s.csv"], 4),
+        (["generate", *LFR_FLAGS, "--s-max", "1000000000000", "--out", "{tmp}/x"], 4),
         (["histogram", "{split_edges}", "{split_truth}", "--sigma", "0.2", "--runs", "2", "--jobs", "2",
           "--out", "{tmp}/h.csv"], 2),
         (["histogram", "{edges}", "{huge_truth}", "--sigma", "0.3", "--runs", "1", "--jobs", "1",
           "--out", "{tmp}/h.csv"], 1),
     ],
     ids=["detect-out", "generate-out", "sweep-out", "histogram-out", "generate-avg-k-nan", "sweep-avg-k-nan",
+         "generate-s-max-above-n",
          "histogram-unreachable-pooled", "histogram-huge-community"],
 )
 def test_runtime_errors_exit_with_their_code(argv, code, fig_files, tmp_path, capsys, monkeypatch):

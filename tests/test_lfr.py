@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seedwalk import GenerationError, LfrParams, ParseError, generate, mixing_fraction, sample_seeds
+from seedwalk import GenerationError, LfrParams, ParseError, generate, lfr, mixing_fraction, sample_seeds
 from seedwalk.graph import load_edge_list, write_edge_list
 from seedwalk.lfr import PlantedGraph, internal_degree, load_planted, sample_power_law, write_truth
 
@@ -81,6 +81,7 @@ def test_paper_setting_shape():
     assert 5 <= pg.n_communities <= 40
     assert sum(pg.sizes) == 500
     assert (pg.membership >= 0).all()
+    assert np.bincount(pg.membership).tolist() == pg.sizes
 
 
 @pytest.mark.parametrize("mu", [0.05, 0.2, 0.5, 0.8, 0.95])
@@ -123,6 +124,41 @@ def test_infeasible_parameters_rejected():
         generate(LfrParams(n=500, avg_k=20, gamma=2.0, beta_exp=2.0, mu=1.5))
     with pytest.raises(GenerationError):
         generate(LfrParams(n=8, avg_k=2, gamma=2.0, beta_exp=2.0, mu=0.1, s_min=10))
+    with pytest.raises(GenerationError, match="s_max"):
+        generate(LfrParams(n=500, avg_k=20, gamma=2.0, beta_exp=2.0, mu=0.2, s_max=10**12))
+
+
+def _assert_placed(member, sizes, d_int):
+    assert (np.bincount(member, minlength=len(sizes)) == sizes).all()
+    assert (d_int < np.asarray(sizes)[member]).all()
+
+
+def test_placement_never_fails_on_a_generated_input(monkeypatch):
+    # the first placement input of this generate call is one that a
+    # place-and-evict loop often gave up on
+    inputs = []
+    place = lfr._assign_membership
+
+    def spy(sizes, d_int, rng):
+        inputs.append((list(sizes), d_int.copy()))
+        return place(sizes, d_int, rng)
+
+    monkeypatch.setattr(lfr, "_assign_membership", spy)
+    generate(LfrParams(n=500, avg_k=20, gamma=2, beta_exp=2, mu=0.1, rng_seed=1))
+    sizes, d_int = inputs[0]
+    for seed in range(50):
+        _assert_placed(place(sizes, d_int, np.random.default_rng(seed)), sizes, d_int)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=8), st.data())
+def test_placement_fills_feasible_sizes(sizes, data):
+    # a witness placement, each slot holding a degree below its community's
+    # size, makes the sizes feasible by construction
+    d_int = np.array([data.draw(st.integers(0, s - 1)) for s in sizes for _ in range(s)])
+    assert lfr._sizes_feasible(sizes, d_int)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    _assert_placed(lfr._assign_membership(sizes, d_int, rng), sizes, d_int)
 
 
 @pytest.mark.parametrize("field", ["avg_k", "gamma", "beta_exp"])
