@@ -10,15 +10,14 @@ seeds missed.
 Sweep trials and histogram re-samples run through one runner. ``_run``
 times one run: for a sweep trial it first generates the graph, then it
 samples seeds, detects, assigns and scores. It records a ``SeedwalkError``
-in the run's ``TrialResult`` instead of raising it. ``_pool_map`` runs a
-task list serially or in a process pool, one task per hand-out. Every run
-draws its randomness from its own (rng seed, index) substream, so results
-are independent of execution order and worker count.
+in the run's ``TrialResult`` instead of raising it. ``pool_map`` runs them
+serially or in a process pool; the re-samples' graph goes to each worker
+once. Every run draws its randomness from its own (rng seed, index)
+substream, so results are independent of execution order and worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import IO, Sequence
@@ -28,6 +27,7 @@ import numpy as np
 from .detect import assign_crisp, detect_multi
 from .errors import SeedwalkError
 from .lfr import LfrParams, PlantedGraph, generate, sample_seeds
+from .pool import pool_map
 
 
 @dataclass(frozen=True)
@@ -100,17 +100,6 @@ def run_trial(params: LfrParams, sigma: float, cell_index: int, trial_index: int
     return _run(graph_params, sigma, trial_index, master_seed, (cell_index, trial_index, 1))
 
 
-def _pool_map(fn, tasks: list[tuple], jobs: int) -> list[TrialResult]:
-    """fn(*task) for every task, in task order; in a pool when jobs and tasks allow."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(*task) for task in tasks]
-    # one task per hand-out: trial cost is heavy-tailed (a generation retry
-    # can cost ten median trials), so coarser chunks leave a worker idle
-    # behind the slowest chunk
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, *zip(*tasks), chunksize=1))
-
-
 def run_sweep(
     cells: Sequence[tuple[LfrParams, float]],
     trials: int,
@@ -122,7 +111,7 @@ def run_sweep(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     tasks = [(params, sigma, ci, ti, rng_seed) for ci, (params, sigma) in enumerate(cells) for ti in range(trials)]
-    results = _pool_map(run_trial, tasks, jobs)
+    results = list(pool_map(run_trial, tasks, jobs))
     summaries = [
         _summarize(params, sigma, results[ci * trials : (ci + 1) * trials]) for ci, (params, sigma) in enumerate(cells)
     ]
@@ -149,7 +138,7 @@ def seed_resamples(pg: PlantedGraph, sigma: float, runs: int, rng_seed: int, job
     """One record per random seed choice on one fixed graph, in run order."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    return _pool_map(_run, [(pg, sigma, i, rng_seed, (i,)) for i in range(runs)], jobs)
+    return list(pool_map(_run, [(sigma, i, rng_seed, (i,)) for i in range(runs)], jobs, shared=(pg,)))
 
 
 def seed_resample_qualities(pg: PlantedGraph, sigma: float, runs: int, rng_seed: int, jobs: int = 1) -> list[float]:

@@ -95,12 +95,12 @@ def _csv_out(path: Path):
 def cmd_detect(args) -> int:
     g = load_edge_list(args.edges)
     seeds = load_seed_file(args.seeds, g)
-    aff = detect_multi(g, seeds, tol=args.tol)
+    aff = detect_multi(g, seeds, tol=args.tol, jobs=args.jobs)
     prefix = str(args.out)
     affinity_path = Path(prefix + ".affinity.csv")
     crisp_path = Path(prefix + ".crisp.csv")
     with open(affinity_path, "w", encoding="utf-8") as fh:
-        write_affinity_csv(aff, g, fh)
+        write_affinity_csv(aff, g, fh, jobs=args.jobs)
     with open(crisp_path, "w", encoding="utf-8") as fh:
         write_crisp_csv(aff, g, fh)
     extra = {
@@ -320,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("seeds", help="seed file: `node community affinity` per line")
     p.add_argument("--out", required=True, help="output prefix (writes .affinity.csv, .crisp.csv)")
     _add_tol_flag(p)
+    p.add_argument("--jobs", type=AT_LEAST_ONE, default=os.cpu_count() or 1, help="worker processes")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_detect)
 

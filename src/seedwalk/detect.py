@@ -15,6 +15,7 @@ from . import solver
 from .errors import ConvergenceError
 from .graph import Graph
 from .markov import build_chain
+from .pool import pool_map
 from .seeds import SeedSet
 
 
@@ -63,16 +64,17 @@ def detect_multi(
     seeds: SeedSet,
     tol: float = solver.DEFAULT_TOL,
     max_iter: int | None = None,
+    jobs: int = 1,
 ) -> AffinityMatrix:
     """Affinity vectors for all non-seed nodes, one solve per community.
 
-    The system is assembled and preconditioned once; the l right-hand
-    sides reuse it. Raises ReachabilityError if some node cannot reach a
-    seed, ConvergenceError if the solver runs out of budget.
+    The system is assembled and preconditioned once; the l right-hand sides
+    reuse it in up to `jobs` processes. Raises ReachabilityError if some node
+    cannot reach a seed, ConvergenceError if the solver runs out of budget.
     """
     chain = build_chain(g, seeds.ids)
     system = solver.assemble(chain, seeds)
-    X, reports = solver.solve_iterative_all(system, tol=tol, max_iter=max_iter)
+    X, reports = solver.solve_iterative_all(system, tol=tol, max_iter=max_iter, jobs=jobs)
     if not all(r.converged for r in reports):
         raise ConvergenceError(reports)
     return AffinityMatrix(
@@ -102,23 +104,26 @@ def _csv_field(label: str) -> str:
     return label
 
 
-def write_affinity_csv(aff: AffinityMatrix, g: Graph, stream: IO[str]) -> None:
-    """One row per node: label then clamped affinities at 9 significant digits."""
-    header = "node," + ",".join(f"c{i}" for i in range(aff.l))
-    stream.write(header + "\n")
+def write_affinity_csv(aff: AffinityMatrix, g: Graph, stream: IO[str], jobs: int = 1) -> None:
+    """One row per node: label then clamped affinities at 9 significant digits.
+    Chunks of 1024 rows are formatted in up to `jobs` processes and written in
+    order as they arrive, so the bytes do not depend on `jobs`."""
+    stream.write("node," + ",".join(f"c{i}" for i in range(aff.l)) + "\n")
+    stream.writelines(pool_map(_format_rows, [(i,) for i in range(0, aff.n, 1024)], jobs, shared=(aff, g.labels)))
+
+
+def _format_rows(aff: AffinityMatrix, labels, start: int) -> str:
+    """Rows of node ids start..start+1023, gathered from rows and seed_rows (both in
+    ascending id order) and clipped: the n x l matrix is never held whole as floats."""
+    stop = min(start + 1024, aff.n)
+    block = np.empty((stop - start, aff.l))
+    for ids, values in ((aff.transient_ids, aff.rows), (aff.seed_ids, aff.seed_rows)):
+        lo, hi = np.searchsorted(ids, [start, stop])
+        block[ids[lo:hi] - start] = values[lo:hi]
+    np.clip(block, 0.0, 1.0, out=block)
     row_format = "%s" + ",%.9g" * aff.l + "\n"
-    # 1024 node ids at a time, each block gathered from rows and seed_rows
-    # (both in ascending id order) and clipped: neither the n x l matrix nor
-    # its Python floats are ever held whole
-    for start in range(0, aff.n, 1024):
-        stop = min(start + 1024, aff.n)
-        block = np.empty((stop - start, aff.l))
-        for ids, values in ((aff.transient_ids, aff.rows), (aff.seed_ids, aff.seed_rows)):
-            lo, hi = np.searchsorted(ids, [start, stop])
-            block[ids[lo:hi] - start] = values[lo:hi]
-        np.clip(block, 0.0, 1.0, out=block)
-        for label, row in zip(map(_csv_field, g.labels[start:stop]), block.tolist()):
-            stream.write(row_format % (label, *row))
+    cells = zip(map(_csv_field, labels[start:stop]), block.tolist())
+    return "".join(row_format % (label, *row) for label, row in cells)
 
 
 def write_crisp_csv(aff: AffinityMatrix, g: Graph, stream: IO[str]) -> None:

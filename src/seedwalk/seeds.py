@@ -85,8 +85,11 @@ def load_seed_file(source: str | Path | IO[str] | Iterable[str], g: Graph) -> Se
         raise ParseError("empty seed file")
     l = max_comm + 1
     entries: dict[int, np.ndarray] = {}
-    for (node, comm), aff in triples.items():
-        entries.setdefault(node, np.zeros(l))[comm] = aff
+    try:
+        for (node, comm), aff in triples.items():
+            entries.setdefault(node, np.zeros(l))[comm] = aff
+    except (ValueError, MemoryError):  # numpy cannot even allocate a row of l affinities
+        raise ParseError(f"community index {max_comm} is too large") from None
     return SeedSet(entries)
 
 

@@ -9,11 +9,13 @@ Zhu-Ghahramani-Lafferty (2003). D - A_TT is symmetric and diagonally
 dominant (a row restricted to some columns has no more entries than the
 whole row), strictly so wherever a transient node borders a seed. One matrix
 and one Jacobi preconditioner serve all l communities; the right-hand sides
-are solved by preconditioned conjugate gradient in blocks of BLOCK columns.
+are solved by preconditioned conjugate gradient in balanced blocks of at most
+BLOCK columns, in up to `jobs` worker processes.
 
 Every column comes out bit-identical to a solve of it alone, because every
 per-column sum runs row by row: the working arrays stay C-ordered and a lone
-column is summed explicitly (see _coldot).
+column is summed explicitly (see _coldot). So blocks may group columns
+any way and run in any process: the result does not depend on `jobs`.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ import numpy as np
 import scipy.sparse
 
 from .markov import AbsorbingChain
+from .pool import pool_map
 from .seeds import SeedSet
 
 DEFAULT_TOL = 1e-8
-# right-hand sides solved together: wide enough to amortize the sparse
-# matvec's pass over the matrix, small enough to bound working memory at
-# O(dim * BLOCK) whatever the number of communities
+# the widest block of right-hand sides solved together, in any process: wide enough
+# to amortize the sparse matvec's pass over the matrix, small enough to bound each
+# process's working memory at O(dim * BLOCK) whatever the number of communities
 BLOCK = 32
 
 
@@ -85,8 +88,9 @@ def solve_iterative_all(
     system: AbsorbingSystem,
     tol: float = DEFAULT_TOL,
     max_iter: int | None = None,
+    jobs: int = 1,
 ) -> tuple[np.ndarray, list[SolveReport]]:
-    """PCG over many right-hand sides, BLOCK columns at a time.
+    """PCG over many right-hand sides in blocks of at most BLOCK columns, in up to `jobs` processes.
 
     A column converges when its true relative residual ||(D-A)x - b|| / ||b||
     is at most tol; on budget exhaustion its last iterate is returned with
@@ -96,29 +100,38 @@ def solve_iterative_all(
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter is None:
         max_iter = 10 * system.dim + 100
-    L = system.matrix()
-    B = system.rhs
-    bnorm = _colnorm(B)
-    X = np.zeros_like(B)
-    used = np.zeros(B.shape[1], dtype=np.int64)
-    rel = np.zeros(B.shape[1])
-    live = np.flatnonzero(bnorm > 0)
-    for start in range(0, live.size, BLOCK):
-        pending = live[start : start + BLOCK]
-        # a few restarts from the current iterate catch columns whose
-        # recursive residual stopped short of the true one (rare)
-        for _ in range(4):
-            if not pending.size:
-                break
-            _pcg(system, X, used, pending, tol, max_iter)
-            rel[pending] = _colnorm(B.take(pending, axis=1) - L @ X.take(pending, axis=1)) / bnorm[pending]
-            pending = pending[(rel[pending] > tol) & (used[pending] < max_iter)]
-    reports = [SolveReport(int(used[j]), float(rel[j]), bool(rel[j] <= tol)) for j in range(B.shape[1])]
+    X, used, rel = np.zeros_like(system.rhs), np.zeros(system.communities, dtype=np.int64), np.zeros(system.communities)
+    live = np.flatnonzero(_colnorm(system.rhs) > 0)
+    # ceil(live / BLOCK) balanced blocks, rounded up to a multiple of the workers used
+    blocks = max(1, -(-live.size // BLOCK))
+    jobs = min(max(jobs, 1), blocks)
+    tasks = [(cols, tol, max_iter) for cols in np.array_split(live, -(-blocks // jobs) * jobs)]
+    for cols, x, n, r in pool_map(_solve_block, tasks, jobs, shared=(system,)):
+        X[:, cols], used[cols], rel[cols] = x, n, r
+        del x  # free it before this process solves the next block
+    reports = [SolveReport(int(used[j]), float(rel[j]), bool(rel[j] <= tol)) for j in range(system.communities)]
     return X, reports
 
 
-def _pcg(system, X, used, cols, tol, max_iter) -> None:
-    """Jacobi-PCG on right-hand sides cols from their current iterate in X.
+def _solve_block(system, cols, tol, max_iter) -> tuple:
+    """(cols, X, iterations, relative residuals) of the right-hand sides cols."""
+    B = system.rhs.take(cols, axis=1)
+    bnorm = _colnorm(B)
+    X, used, rel = np.zeros_like(B), np.zeros(cols.size, dtype=np.int64), np.zeros(cols.size)
+    pending = np.arange(cols.size)
+    # a few restarts from the current iterate catch columns whose
+    # recursive residual stopped short of the true one (rare)
+    for _ in range(4):
+        if not pending.size:
+            break
+        _pcg(system, B, X, used, pending, tol, max_iter)
+        rel[pending] = _colnorm(B.take(pending, axis=1) - system.laplacian @ X.take(pending, axis=1)) / bnorm[pending]
+        pending = pending[(rel[pending] > tol) & (used[pending] < max_iter)]
+    return cols, X, used, rel
+
+
+def _pcg(system, B, X, used, cols, tol, max_iter) -> None:
+    """Jacobi-PCG on the columns cols of B, from their current iterate in X.
 
     Updates X and the iteration counts in used in place. A column leaves
     the working set, before the next matvec, once its recursive residual
@@ -127,14 +140,14 @@ def _pcg(system, X, used, cols, tol, max_iter) -> None:
     """
     L = system.matrix()
     inv_diag = 1.0 / system.diag
-    b = system.rhs.take(cols, axis=1)
     x = X.take(cols, axis=1)
-    r = b - L @ x
+    r = B.take(cols, axis=1)  # b, until its norm is taken
+    bound = tol * _colnorm(r)
+    r -= L @ x
     z = inv_diag[:, None] * r
     p = z.copy()
     rz = _coldot(r, z)
     rn = _colnorm(r)
-    bound = tol * _colnorm(b)
     pAp = np.full(cols.size, np.inf)  # no curvature measured yet
     while True:
         done = (rn <= bound) | (used[cols] >= max_iter) | (pAp <= 0.0)

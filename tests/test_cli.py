@@ -1,13 +1,20 @@
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seedwalk import bench
+from seedwalk import bench, lfr, write_seed_file
 from seedwalk.cli import main
+from seedwalk.solver import BLOCK
 
 from conftest import FIG_EDGES, FIG_SEEDS
 
@@ -240,6 +247,44 @@ def test_detect_rerun_is_byte_identical(fig_files, tmp_path):
     assert _read_bytes(tmp_path / "a.crisp.csv") == _read_bytes(tmp_path / "b.crisp.csv")
 
 
+def test_detect_outputs_independent_of_jobs(tmp_path):
+    # more than one solve block and more than one CSV chunk, so --jobs 2 runs
+    # both in worker processes; they get their state through the pool
+    # initializer, so workers that inherit no memory (spawn) give the same bytes
+    prefix = tmp_path / "g"
+    assert main(["generate", "--n", "1200", "--avg-k", "10", "--mu", "0.3", "--s-min", "10", "--s-max", "40",
+                 "--rng-seed", "3", "--out", str(prefix)]) == 0
+    pg = lfr.load_planted(f"{prefix}.edges", f"{prefix}.truth")
+    seeds, _ = lfr.sample_seeds(pg, 0.1, np.random.default_rng(3))
+    assert seeds.l > BLOCK and pg.graph.n > 1024
+    with open(f"{prefix}.seeds", "w", encoding="utf-8") as fh:
+        write_seed_file(seeds, pg.graph, fh)
+    argv = ["detect", f"{prefix}.edges", f"{prefix}.seeds", "--out"]
+    for jobs in ("1", "2"):
+        assert main([*argv, str(tmp_path / jobs), "--jobs", jobs]) == 0
+    src = str(Path(lfr.__file__).resolve().parents[1])
+    code = (f"import multiprocessing, sys; sys.path.insert(0, {src!r}); multiprocessing.set_start_method('spawn'); "
+            "from seedwalk.cli import main; sys.exit(main(sys.argv[1:]))")
+    subprocess.run([sys.executable, "-c", code, *argv, str(tmp_path / "spawn"), "--jobs", "2"], check=True)
+    for run in ("2", "spawn"):
+        for suffix in (".affinity.csv", ".crisp.csv"):
+            assert (tmp_path / f"{run}{suffix}").read_bytes() == (tmp_path / f"1{suffix}").read_bytes()
+        m1, m = (json.loads((tmp_path / f"{r}.manifest.json").read_text()) for r in ("1", run))
+        for key in ("solver_iterations", "solver_residuals"):
+            assert m[key] == m1[key]
+
+
+def test_detect_with_one_block_and_one_chunk_starts_no_pool(fig_files, tmp_path, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    edges, seeds = fig_files
+    assert main(["detect", str(edges), str(seeds), "--jobs", "4", "--out", str(tmp_path / "x")]) == 0
+
+
 def test_detect_nonconvergence_exit_3(fig_files, tmp_path, monkeypatch):
     edges, seeds = fig_files
     from seedwalk import cli
@@ -283,9 +328,11 @@ def test_detect_direct_over_cap_is_usage_error(tmp_path):
         ["histogram", "e", "t", "--sigma", "0.2", "--out", "x", "--bins", "0"],
         ["sweep", "--n", "200", "--avg-k", "10", "--mu", "0.1", "--sigma", "0.2", "--out", "x", "--jobs", "0"],
         ["histogram", "e", "t", "--sigma", "0.2", "--out", "x", "--jobs", "-2"],
+        ["detect", "e", "s", "--out", "x", "--jobs", "0"],
     ],
     ids=["missing-positional", "unknown-subcommand", "bad-tol", "solver-flag", "sweep-tol", "histogram-tol",
-         "tol-nan", "tol-inf", "tol-zero", "walks-zero", "bins-zero", "sweep-jobs-zero", "histogram-jobs-negative"],
+         "tol-nan", "tol-inf", "tol-zero", "walks-zero", "bins-zero", "sweep-jobs-zero", "histogram-jobs-negative",
+         "detect-jobs-zero"],
 )
 def test_argparse_usage_errors_exit_64(argv, capsys):
     assert main(argv) == 64
@@ -433,3 +480,61 @@ def test_public_surface_is_the_documented_list():
         assert getattr(seedwalk, name) is not None
     readme = (Path(seedwalk.__file__).resolve().parents[2] / "README.md").read_text(encoding="utf-8")
     assert all(f"`{name}`" in readme for name in PUBLIC_API)
+
+
+LABEL = st.sampled_from(["a", "b", "c", "d", "e", "a#b", "x,y"])
+BAD_FIELD = st.sampled_from(["#c", "zz", "-1", "1.5", "-0.1", "nan", "inf", "abc", "1e3", str(10**30)])
+
+
+@st.composite
+def _malformed_inputs(draw) -> tuple[bytes, bytes, bytes]:
+    """Edge, seed and truth files, mostly well formed: a line at times loses or
+    gains a field, gets a bad field (a `#` label, an unknown node, a number out
+    of range or not a number) or becomes a self-loop; a file at times ends in
+    bytes that are not UTF-8."""
+
+    def text(lines: list[list[str]]) -> bytes:
+        out = []
+        for fields in lines:
+            kind = draw(st.sampled_from(["ok"] * 7 + ["drop", "add", "bad", "loop", "comment"]))
+            if kind == "drop":
+                fields = fields[:-1]
+            elif kind == "add":
+                fields = [*fields, draw(LABEL)]
+            elif kind == "bad":
+                fields = [*fields]
+                fields[draw(st.integers(0, len(fields) - 1))] = draw(BAD_FIELD)
+            elif kind == "loop":
+                fields = [fields[0], fields[0], *fields[2:]]
+            out.append(("# " if kind == "comment" else "") + " ".join(fields) + "\n")
+        return "".join(out).encode() + draw(st.sampled_from([b""] * 7 + [b"caf\xe9 b 0\n"]))
+
+    pairs = draw(st.lists(st.lists(LABEL, min_size=2, max_size=2, unique=True), min_size=1, max_size=8))
+    labels = list(dict.fromkeys(lab for pair in pairs for lab in pair))
+    affinity = st.sampled_from(["0", "1", "0.5", "0.25"])
+    seeds = [[draw(st.sampled_from(labels)), str(draw(st.integers(0, 3))), draw(affinity)]
+             for _ in range(draw(st.integers(1, 4)))]
+    truth = [[lab, str(draw(st.integers(0, 2)))] for lab in labels]
+    return text(pairs), text(seeds), text(truth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_malformed_inputs(), LABEL)
+def test_malformed_inputs_exit_with_a_documented_code(files, node):
+    # every detect, verify and histogram run on random, mostly well-formed
+    # inputs ends in a documented exit code, with no traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        e, s, t = (str(Path(tmp, name)) for name in ("edges", "seeds", "truth"))
+        for path, data in zip((e, s, t), files):
+            Path(path).write_bytes(data)
+        runs = [
+            ["detect", e, s, "--jobs", "1", "--out", f"{tmp}/d"],
+            ["verify", e, s, "--node", node, "--walks", "20"],
+            ["histogram", e, t, "--sigma", "0.5", "--runs", "2", "--bins", "2", "--jobs", "1", "--out", f"{tmp}/h.csv"],
+        ]
+        for argv in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3, 4, 5, 64), (argv[0], code)
+            assert "Traceback" not in err.getvalue()

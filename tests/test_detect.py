@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from seedwalk import (
+    Graph,
     ReachabilityError,
     SeedSet,
     assign_crisp,
@@ -205,6 +206,22 @@ def test_affinity_csv_bytes_match_per_value_formatting():
         )
         assert buf.getvalue() == expected
         assert "v1,0,1,1e-12\n" in expected and "v2,0,1,0.333333333\n" in expected
+
+
+def test_affinity_csv_bytes_independent_of_jobs():
+    # three 1024-row chunks, formatted in worker processes, and a label that
+    # must be quoted: the bytes equal those written in one process
+    k = 2100
+    labels = path_graph(k).labels
+    labels[1500] = 'x,"y'
+    g = Graph.from_edges(k + 2, [(i, i + 1) for i in range(k + 1)], labels)
+    rng = np.random.default_rng(71)
+    aff = AffinityMatrix(np.arange(1, k + 1), rng.random((k, 3)) * 1.2 - 0.1, np.array([0, k + 1]), np.eye(2, 3))
+    serial, pooled = io.StringIO(), io.StringIO()
+    write_affinity_csv(aff, g, serial, jobs=1)
+    write_affinity_csv(aff, g, pooled, jobs=2)
+    assert pooled.getvalue() == serial.getvalue()
+    assert '\n"x,""y",' in serial.getvalue()
 
 
 def test_crisp_csv_format(fig_graph, fig_seeds):

@@ -166,6 +166,10 @@ def test_seed_file_errors():
         load_seed_file(io.StringIO("a 0 1\na 0 0.5\n"), g)
     with pytest.raises(ParseError, match="empty"):
         load_seed_file(io.StringIO("# nothing\n"), g)
+    # an index numpy cannot size a row for was a ValueError or MemoryError
+    for index in (str(10**18), str(10**30)):
+        with pytest.raises(ParseError, match="too large"):
+            load_seed_file(io.StringIO(f"a {index} 1\n"), g)
 
 
 def _edge_set(g):

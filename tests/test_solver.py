@@ -94,23 +94,39 @@ def test_iterative_matches_direct_on_random_graphs():
         assert np.abs(oracle - iterative).max() <= 1e-6
 
 
-def test_blocked_solve_matches_single_columns_bitwise():
-    # more than two blocks, a zero column and a partial last block: every
-    # column must equal the solve of a system holding that column alone, bit
-    # for bit
+def _multi_block_system():
+    """More than two blocks' worth of right-hand sides, one of them zero, in a
+    count that BLOCK does not divide."""
     rng = np.random.default_rng(31)
     g = random_connected_graph(rng, 300)
     ids = np.sort(rng.choice(g.n, size=30, replace=False))
     rows = rng.random((ids.size, 2 * BLOCK + 7))
     rows[:, BLOCK - 1] = 0.0
     seeds = SeedSet({int(v): rows[i] for i, v in enumerate(ids)})
-    system = assemble(build_chain(g, seeds.ids), seeds)
+    return assemble(build_chain(g, seeds.ids), seeds)
+
+
+def test_blocked_solve_matches_single_columns_bitwise():
+    # every column must equal the solve of a system holding that column
+    # alone, bit for bit
+    system = _multi_block_system()
     X, reports = solve_iterative_all(system)
     for j in range(system.communities):
         x, (report,) = solve_iterative_all(dataclasses.replace(system, rhs=system.rhs[:, [j]]))
         assert np.array_equal(x[:, 0], X[:, j])
         assert report == reports[j]
     assert reports[BLOCK - 1].iterations == 0
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_solve_is_bitwise_independent_of_jobs(jobs):
+    # the blocks regroup and run in worker processes, but X and every report
+    # stay those of the in-process solve
+    system = _multi_block_system()
+    X, reports = solve_iterative_all(system, jobs=1)
+    X_jobs, reports_jobs = solve_iterative_all(system, jobs=jobs)
+    assert np.array_equal(X_jobs, X)
+    assert reports_jobs == reports
 
 
 @pytest.mark.parametrize("n", [300, 1000, 3000])
