@@ -26,7 +26,7 @@ import numpy as np
 
 from .detect import assign_crisp, detect_multi
 from .errors import SeedwalkError
-from .lfr import LfrParams, PlantedGraph, generate, sample_seeds
+from .lfr import LfrParams, PlantedGraph, generate, mixing_fraction, sample_seeds
 from .pool import pool_map
 
 
@@ -43,6 +43,8 @@ class TrialResult:
     seconds: float
     uncovered: int  # communities the sampled seeds missed
     failure: SeedwalkError | None = None
+    mixing: float = float("nan")  # realized mixing of a sweep trial's graph
+    attempts: int = 0  # wirings its generation took
 
     @property
     def ok(self) -> bool:
@@ -64,6 +66,8 @@ class CellSummary:
     q_min: float
     q_max: float
     seconds_mean: float
+    mixing_mean: float | None  # over the successful trials; None if none succeeded
+    attempts_mean: float | None
 
 
 def membership_quality(pg: PlantedGraph, predicted: np.ndarray) -> float:
@@ -83,15 +87,18 @@ def _run(source: LfrParams | PlantedGraph, sigma: float, index: int, master_seed
     substream, detect, assign, score. Failures are recorded, not raised."""
     params = source if isinstance(source, LfrParams) else None
     rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=key))
-    q, uncovered, failure = float("nan"), [], None
+    q, uncovered, failure, mixing, attempts = float("nan"), [], None, float("nan"), 0
     start = perf_counter()
     try:
         pg = source if params is None else generate(params)
+        if params is not None:
+            mixing, attempts = mixing_fraction(pg), pg.attempts
         seeds, uncovered = sample_seeds(pg, sigma, rng)
         q = membership_quality(pg, assign_crisp(detect_multi(pg.graph, seeds)))
     except SeedwalkError as exc:
         failure = exc.with_traceback(None)  # its frames would keep the failed run's graph alive
-    return TrialResult(params, sigma, index, master_seed, q, perf_counter() - start, len(uncovered), failure)
+    seconds = perf_counter() - start
+    return TrialResult(params, sigma, index, master_seed, q, seconds, len(uncovered), failure, mixing, attempts)
 
 
 def run_trial(params: LfrParams, sigma: float, cell_index: int, trial_index: int, master_seed: int) -> TrialResult:
@@ -131,6 +138,8 @@ def _summarize(params: LfrParams, sigma: float, cell_results: list[TrialResult])
         q_min=float(qs.min()),
         q_max=float(qs.max()),
         seconds_mean=float(np.mean([r.seconds for r in cell_results])),
+        mixing_mean=float(np.mean([r.mixing for r in good])) if good else None,
+        attempts_mean=float(np.mean([r.attempts for r in good])) if good else None,
     )
 
 

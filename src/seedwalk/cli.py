@@ -157,6 +157,8 @@ def cmd_generate(args) -> int:
                 "communities": pg.n_communities,
                 "mean_degree": 2 * pg.graph.m / pg.graph.n,
                 "mixing": lfr.mixing_fraction(pg),
+                "attempts": pg.attempts,
+                "dropped_edges": pg.dropped,
             },
         },
     )
@@ -226,6 +228,8 @@ def cmd_sweep(args) -> int:
                     "trials": s.trials,
                     "failures": s.failures,
                     "seconds_mean": s.seconds_mean,
+                    "mixing_mean": s.mixing_mean,
+                    "attempts_mean": s.attempts_mean,
                     **_failure_report(records[i * args.trials : (i + 1) * args.trials]),
                 }
                 for i, s in enumerate(summaries)

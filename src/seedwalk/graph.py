@@ -75,15 +75,16 @@ class Graph:
     def from_edges(
         cls,
         n: int,
-        edges: Iterable[tuple[int, int]],
+        edges: Iterable[tuple[int, int]] | np.ndarray,
         labels: Sequence[str] | None = None,
     ) -> "Graph":
-        """Build a graph from (u, w) id pairs; duplicates are collapsed.
+        """Build a graph from (u, w) id pairs, or an (m, 2) int array of them;
+        duplicates are collapsed.
 
         (u, w) and (w, u) are the same edge. Self-loops and endpoints outside
         0..n-1 raise ValueError.
         """
-        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64).reshape(-1, 2)
         loops = pairs[:, 0] == pairs[:, 1]
         if loops.any():
             raise ValueError(f"self-loop on node {pairs[loops][0, 0]}")

@@ -5,10 +5,16 @@ Each node keeps a fraction 1-mu of its edges inside its own community
 (internal stub count ceil((1-mu) * k), so mu=0 yields strictly zero
 inter-community edges). Nodes are placed in descending internal degree,
 each into a random free slot of a community larger than that degree, which
-cannot run out of room on sizes that pass the capacity check. Both edge
-classes are wired configuration-model style with a bounded rewiring pass;
-unresolvable collisions are dropped and must stay under 1% of the edge
-budget and keep the mean degree within 5% of avg_k.
+cannot run out of room on sizes that pass the capacity check.
+
+Both edge classes are wired configuration-model style in array rounds: one
+matcher call pairs all internal stubs, grouped by community, and one pairs
+the external stubs across communities. Shuffle passes pair neighbouring
+stubs; the pairs that still collide then get up to 16 rounds of 16
+degree-preserving double-edge swap proposals each (Maslov-Sneppen), checked
+all at once on sorted edge keys. Unresolvable collisions are dropped and
+must stay under 1% of the edge budget and keep the mean degree within 5% of
+avg_k; otherwise the attempt is redrawn.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ from .seeds import SeedSet
 
 _MAX_ATTEMPTS = 30
 _MATCH_PASSES = 12
+_SWAP_ROUNDS = 16
+_SWAP_TRIES = 16
 _CEIL_EPS = 1e-9
 
 
@@ -78,11 +86,17 @@ class LfrParams:
 
 @dataclass
 class PlantedGraph:
-    """A generated graph with its ground-truth communities."""
+    """A generated graph with its ground-truth communities.
+
+    `attempts` counts the wirings `generate` ran and `dropped` the edge
+    equivalents the kept one dropped; a loaded graph has 0 of both.
+    """
 
     graph: Graph
     membership: np.ndarray
     sizes: list[int] = field(default_factory=list)
+    attempts: int = 0
+    dropped: float = 0.0
 
     @property
     def n_communities(self) -> int:
@@ -134,14 +148,18 @@ def generate(params: LfrParams) -> PlantedGraph:
     tiling n, nodes placed in descending internal degree into random free
     slots that fit them (this cannot fail on sizes that pass
     `_sizes_feasible`; see `_assign_membership`), then configuration-model
-    matching of internal and external stub pools with rewiring repair.
-    Raises GenerationError when the parameters stay infeasible after
-    bounded retries.
+    matching of the internal and the external stub pools in array rounds of
+    shuffle passes and double-edge swaps (`_match`; at most 16 rounds of 16
+    proposals per colliding pair). An attempt whose wiring drops more than
+    1% of the edge budget, or leaves the mean degree below avg_k - 5%, is
+    redrawn from the degrees on. Raises GenerationError when the parameters
+    stay infeasible after bounded retries.
     """
     params.validate()
     k_min, k_max, s_min, s_max = params.resolved_bounds()
     rng = np.random.default_rng(params.rng_seed)
     failures: list[str] = []
+    attempts = 0
     for _ in range(_MAX_ATTEMPTS):
         degrees, k_min = _draw_degrees(params, k_min, k_max, rng)
         d_int = internal_degree(degrees, params.mu)
@@ -155,6 +173,7 @@ def generate(params: LfrParams) -> PlantedGraph:
             failures.append("no community size draw can host the internal degrees")
             continue
         member = _assign_membership(sizes, d_int, rng)
+        attempts += 1
         edges, dropped = _wire(params.n, member, len(sizes), degrees, d_int, params.mu, rng)
         m_target = int(degrees.sum()) // 2
         # the drops must also leave the mean degree in the draw's 5% band
@@ -163,7 +182,7 @@ def generate(params: LfrParams) -> PlantedGraph:
             continue
         graph = Graph.from_edges(params.n, edges)
         graph.validate()
-        return PlantedGraph(graph=graph, membership=member, sizes=sizes)
+        return PlantedGraph(graph=graph, membership=member, sizes=sizes, attempts=attempts, dropped=dropped)
     raise GenerationError(
         f"generation failed after {_MAX_ATTEMPTS} attempts for {params}; causes: "
         + "; ".join(failures[-3:])
@@ -262,34 +281,41 @@ def _assign_membership(sizes: list[int], d_int: np.ndarray, rng) -> np.ndarray:
     # communities are largest first, so those that fit a node are a prefix
     fits = np.searchsorted(-room, -d_int[order], side="left")
     member = np.empty(n, dtype=np.int64)
-    for v, k, x in zip(order.tolist(), fits.tolist(), rng.random(n).tolist()):
-        free = np.cumsum(room[:k])
-        c = int(np.searchsorted(free, int(x * free[-1]), side="right"))
-        room[c] -= 1
-        member[v] = by_size[c]
+    # fits never falls along the order; one uniform ordered sample of the
+    # free slots places a whole run of nodes that fit the same prefix
+    cuts = [0, *(np.flatnonzero(np.diff(fits)) + 1).tolist(), n]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        k = int(fits[lo])
+        picked = rng.choice(np.repeat(np.arange(k), room[:k]), size=hi - lo, replace=False)
+        room[:k] -= np.bincount(picked, minlength=k)
+        member[order[lo:hi]] = by_size[picked]
     return member
 
 
-def _wire(n, member, ncomm, degrees, d_int_base, mu, rng) -> tuple[set[tuple[int, int]], float]:
-    """Match internal stubs per community and external stubs globally.
+def _wire(n, member, ncomm, degrees, d_int_base, mu, rng) -> tuple[np.ndarray, float]:
+    """Match the internal stubs inside their communities and the external
+    stubs across communities, with one `_match` call each: all internal
+    pools at once, grouped by community, then the external pool under the
+    cross-community constraint. Each call runs up to 12 shuffle passes and
+    16 swap rounds of 16 double-edge swap proposals per colliding pair.
 
-    Returns (edge set, dropped edge-equivalents).
+    Returns (edges as an (m, 2) int array, dropped edge-equivalents).
     """
     d_int = d_int_base.copy()
     k_eff = degrees.copy()
-    dropped_stubs = 0
-    members = [np.flatnonzero(member == c) for c in range(ncomm)]
+    nodes = np.arange(n, dtype=np.int64)
 
-    # per-community stub parity: shed one internal stub from the largest holder
-    for c in range(ncomm):
-        nodes_c = members[c]
-        if int(d_int[nodes_c].sum()) % 2:
-            v = int(nodes_c[np.argmax(d_int[nodes_c])])
-            d_int[v] -= 1
-            if mu == 0.0:
-                # nothing may leak to the external pool at mu=0
-                k_eff[v] -= 1
-                dropped_stubs += 1
+    # per-community stub parity: shed one internal stub from the largest
+    # holder (lowest id on ties) of each community with an odd stub sum
+    odd = np.flatnonzero(np.bincount(member, weights=d_int, minlength=ncomm).astype(np.int64) % 2)
+    by_comm = np.lexsort((-d_int, member))
+    shed = by_comm[np.searchsorted(member[by_comm], odd)]
+    d_int[shed] -= 1
+    dropped_stubs = 0
+    if mu == 0.0:
+        # nothing may leak to the external pool at mu=0
+        k_eff[shed] -= 1
+        dropped_stubs += shed.size
 
     d_ext = k_eff - d_int
     if int(d_ext.sum()) % 2:
@@ -299,106 +325,127 @@ def _wire(n, member, ncomm, degrees, d_int_base, mu, rng) -> tuple[set[tuple[int
         k_eff[v] -= 1
         dropped_stubs += 1
 
-    # the pools cannot collide: internal pools hold disjoint node sets, and
-    # an external pair inside one community is rejected anyway
-    edges: set[tuple[int, int]] = set()
-    dropped_pairs = 0
-    for c in range(ncomm):
-        placed, still = _match_stubs(np.repeat(members[c], d_int[members[c]]), rng)
-        edges |= placed
-        dropped_pairs += len(still)
-
-    placed, still = _match_stubs(np.repeat(np.arange(n, dtype=np.int64), d_ext), rng, member)
-    edges |= placed
+    # the pools cannot collide: internal edges stay inside one community,
+    # external edges cross two
+    stubs = np.repeat(nodes, d_int)
+    internal, still = _match(stubs, member[stubs], n, rng)
+    stubs = np.repeat(nodes, d_ext)
+    external, still_ext = _match(stubs, np.zeros_like(stubs), n, rng, member)
+    placed = np.concatenate([internal, external])
     # an external pair whose only flaw is lying inside one community is
     # kept as an internal edge; every other leftover is dropped
-    for u, w in still:
-        key = (u, w) if u < w else (w, u)
-        if u != w and member[u] == member[w] and key not in edges:
-            edges.add(key)
-        else:
-            dropped_pairs += 1
-
-    return edges, dropped_pairs + dropped_stubs / 2.0
+    u, w = still_ext.T
+    keep = _fresh(u, w, n, np.sort(_keys(*placed.T, n))) & (member[u] == member[w])
+    edges = np.concatenate([placed, still_ext[keep]])
+    return edges, len(still) + int((~keep).sum()) + dropped_stubs / 2.0
 
 
-def _match_stubs(stubs, rng, member=None) -> tuple[set[tuple[int, int]], list[tuple[int, int]]]:
-    """Pair stubs into simple edges.
+def _keys(u, w, n):
+    """Key lo*n + hi of each undirected pair."""
+    return np.minimum(u, w) * n + np.maximum(u, w)
 
-    Collisions (self-loops, duplicates, and same-community pairs when
-    `member` is given) go through reshuffle passes, then bounded endpoint
-    swaps against already-placed pairs. Returns (placed pairs, pairs still
-    colliding).
+
+def _fresh(u, w, n, taken, member=None) -> np.ndarray:
+    """Mask of the pairs that can be placed next to the edges with sorted keys
+    `taken`: no self-loop, no key in `taken`, the first of equal keys, and
+    (with `member`) the two ends in different communities."""
+    key = _keys(u, w, n)
+    ok = (u != w) & ~_within(taken, key)
+    if member is not None:
+        ok &= member[u] != member[w]
+    idx = np.flatnonzero(ok)
+    _, first = np.unique(key[idx], return_index=True)
+    ok[:] = False
+    ok[idx[first]] = True
+    return ok
+
+
+def _within(taken: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Mask of the keys found in the sorted array `taken`."""
+    if taken.size == 0:
+        return np.zeros(key.shape, dtype=bool)
+    return taken[np.searchsorted(taken, key).clip(max=taken.size - 1)] == key
+
+
+def _once(x: np.ndarray) -> np.ndarray:
+    """Mask of the entries whose value occurs exactly once in x."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return counts[inverse] == 1
+
+
+def _match(stubs, group, n, rng, member=None) -> tuple[np.ndarray, np.ndarray]:
+    """Pair stubs into simple edges, each inside its stub group, in array rounds.
+
+    `stubs` holds node ids below n and `group` the group of each stub; every
+    group holds an even number of stubs. With `member` given, every edge must
+    also join two communities.
+
+    - Passes: shuffle the open stubs within their groups and pair neighbours.
+      A pair is placed unless it is a self-loop, breaks the constraint or
+      repeats an edge (the first of equal new pairs wins). The others go on
+      to the next pass, up to _MATCH_PASSES passes or one that places nothing.
+    - Swap rounds: each open pair (u, w) proposes _SWAP_TRIES double-edge
+      swaps, each against a random placed edge (a, b) of its group: retire
+      (a, b), place (u, a) and (w, b), which keeps every degree. A round
+      takes each pair's first valid proposal and accepts those that conflict
+      with nothing: every retired edge and every new edge occurs once, up to
+      _SWAP_ROUNDS rounds.
+
+    Returns (placed, leftover): (m, 2) and (k, 2) int arrays that together
+    hold exactly the input stubs.
     """
-    if stubs.size < 2:
-        return set(), []
-    batch: list[tuple[int, int]] = []
-    edges: set[tuple[int, int]] = set()
-
-    def ok(u: int, w: int) -> bool:
-        key = (u, w) if u < w else (w, u)
-        return u != w and key not in edges and (member is None or member[u] != member[w])
-
-    def place(u: int, w: int) -> None:
-        key = (u, w) if u < w else (w, u)
-        batch.append(key)
-        edges.add(key)
-
-    pool = stubs.copy()
+    empty = np.empty(0, dtype=np.int64)
+    a, b, eg = empty, empty, empty  # placed edges and their groups
+    u, w, g = empty, empty, empty  # open pairs
+    pool, pool_g = stubs, group
     for _ in range(_MATCH_PASSES):
-        if pool.size < 2:
+        if pool.size == 0:
             break
-        rng.shuffle(pool)
-        leftover: list[int] = []
-        for i in range(0, pool.size - 1, 2):
-            u, w = int(pool[i]), int(pool[i + 1])
-            if ok(u, w):
-                place(u, w)
-            else:
-                leftover.append(u)
-                leftover.append(w)
-        if pool.size % 2:
-            leftover.append(int(pool[-1]))
-        if len(leftover) == pool.size:
-            pool = np.array(leftover, dtype=np.int64)
+        order = np.lexsort((rng.random(pool.size), pool_g))
+        pool, pool_g = pool[order], pool_g[order]
+        u, w, g = pool[0::2], pool[1::2], pool_g[0::2]
+        ok = _fresh(u, w, n, np.sort(_keys(a, b, n)), member)
+        a, b, eg = np.concatenate([a, u[ok]]), np.concatenate([b, w[ok]]), np.concatenate([eg, g[ok]])
+        u, w, g = u[~ok], w[~ok], g[~ok]
+        if not ok.any():
             break
-        pool = np.array(leftover, dtype=np.int64)
+        pool, pool_g = np.concatenate([u, w]), np.concatenate([g, g])
 
-    # swap phase on whatever still collides
-    rng.shuffle(pool)
-    bad_pairs = [(int(pool[i]), int(pool[i + 1])) for i in range(0, pool.size - 1, 2)]
-    swap_budget = 100 * max(1, stubs.size // 2)
-    still: list[tuple[int, int]] = []
-    for u, w in bad_pairs:
-        if ok(u, w):  # earlier swaps may have cleared the collision
-            place(u, w)
-            continue
-        fixed = False
-        tries = min(60, swap_budget)
-        for _ in range(tries):
-            swap_budget -= 1
-            if not batch:
-                break
-            j = int(rng.integers(len(batch)))
-            a, b = batch[j]
-            if rng.random() < 0.5:
-                a, b = b, a
-            e1 = (u, a) if u < a else (a, u)
-            e2 = (w, b) if w < b else (b, w)
-            if e1 == e2 or not ok(*e1) or not ok(*e2):
-                continue
-            # retire (a, b), adopt the two rewired edges
-            key = batch[j]
-            batch[j] = batch[-1]
-            batch.pop()
-            edges.discard(key)
-            place(*e1)
-            place(*e2)
-            fixed = True
+    for _ in range(_SWAP_ROUNDS):
+        if u.size == 0:
             break
-        if not fixed:
-            still.append((u, w))
-    return edges, still
+        taken = np.sort(_keys(a, b, n))
+        order = np.argsort(eg, kind="stable")
+        a, b, eg = a[order], b[order], eg[order]
+        start = np.searchsorted(eg, g)
+        count = np.searchsorted(eg, g, side="right") - start
+        if not count.any():
+            break
+        # proposals: row i swaps open pair i against placed edge j[i, t]
+        j = start[:, None] + (rng.random((u.size, _SWAP_TRIES)) * count[:, None]).astype(np.int64)
+        j = j.clip(max=a.size - 1)
+        flip = rng.random(j.shape) < 0.5
+        x, y = np.where(flip, b[j], a[j]), np.where(flip, a[j], b[j])
+        uu, ww = u[:, None], w[:, None]
+        k1, k2 = _keys(uu, x, n), _keys(ww, y, n)
+        valid = (count > 0)[:, None] & (uu != x) & (ww != y) & (k1 != k2) & ~_within(taken, k1) & ~_within(taken, k2)
+        if member is not None:
+            valid &= (member[uu] != member[x]) & (member[ww] != member[y])
+        pick = valid.argmax(axis=1)
+        i = np.flatnonzero(valid[np.arange(u.size), pick])
+        t = pick[i]
+        ji, k1i, k2i = j[i, t], k1[i, t], k2[i, t]
+        both = _once(np.concatenate([k1i, k2i]))
+        acc = _once(ji) & both[: i.size] & both[i.size :]
+        i, t, ji = i[acc], t[acc], ji[acc]
+        xi, yi = x[i, t], y[i, t]
+        # (u, x) takes the retired edge's slot, (w, y) is appended
+        a[ji], b[ji] = u[i], xi
+        a, b, eg = np.concatenate([a, w[i]]), np.concatenate([b, yi]), np.concatenate([eg, g[i]])
+        still = np.ones(u.size, dtype=bool)
+        still[i] = False
+        u, w, g = u[still], w[still], g[still]
+    return np.stack([a, b], axis=1), np.stack([u, w], axis=1)
 
 
 def seed_count(sigma: float, n: int) -> int:

@@ -148,6 +148,9 @@ def test_generate_outputs(tmp_path):
     assert len(edges) > 1000
     manifest = json.loads((tmp_path / "bench.manifest.json").read_text())
     assert manifest["realized"]["n"] == 400
+    assert manifest["realized"]["attempts"] >= 1
+    dropped = manifest["realized"]["dropped_edges"]
+    assert 0 <= dropped <= 0.01 * (manifest["realized"]["m"] + dropped)
 
 
 def test_generate_infeasible_exit_4(tmp_path):
@@ -220,8 +223,12 @@ def test_sweep_manifest_records_failures_and_coverage_gaps(tmp_path, capsys):
     cells = json.loads(out.with_suffix(".manifest.json").read_text())["cells"]
     assert [(c["failures"], c["failure_causes"], c["uncovered"]) for c in cells] == [
         (3, {"ReachabilityError": 3}, 3),
-        (0, {}, 2),
+        (0, {}, 3),
     ]
+    # realized mixing and wiring attempts average over the successful trials only
+    assert cells[0]["mixing_mean"] is None and cells[0]["attempts_mean"] is None
+    assert abs(cells[1]["mixing_mean"] - 0.3) <= 0.05
+    assert cells[1]["attempts_mean"] >= 1
 
 
 def test_histogram_usage_errors(tmp_path):
@@ -533,8 +540,33 @@ def test_malformed_inputs_exit_with_a_documented_code(files, node):
             ["histogram", e, t, "--sigma", "0.5", "--runs", "2", "--bins", "2", "--jobs", "1", "--out", f"{tmp}/h.csv"],
         ]
         for argv in runs:
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(argv)
-            assert code in (0, 1, 2, 3, 4, 5, 64), (argv[0], code)
-            assert "Traceback" not in err.getvalue()
+            _assert_documented_exit(argv)
+
+
+def _assert_documented_exit(argv: list[str]) -> None:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4, 5, 64), (argv, code)
+    assert "Traceback" not in err.getvalue()
+
+
+# a size or degree bound: absent, at 0, 1 or 2, or next to n
+BOUND = st.sampled_from([None, "0", "1", "2", "n-1", "n", "n+1"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 24), st.sampled_from(["0", "1"]), st.sampled_from(["1", "2", "3"]),
+       st.lists(BOUND, min_size=4, max_size=4))
+def test_generator_flags_exit_with_a_documented_code(n, mu, avg_k, bounds):
+    # tiny graphs at mu 0 and 1 with every size and degree bound at an edge:
+    # empty stub groups, one group holding every stub, and at mu=1 with one
+    # community an external pool with no valid pair
+    flags = ["--n", str(n), "--avg-k", avg_k, "--mu", mu]
+    for flag, bound in zip(("--s-min", "--s-max", "--k-min", "--k-max"), bounds):
+        if bound is not None:
+            flags += [flag, str({"n-1": n - 1, "n": n, "n+1": n + 1}.get(bound, bound))]
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_documented_exit(["generate", *flags, "--out", f"{tmp}/g"])
+        _assert_documented_exit(["sweep", *flags, "--sigma", "0.5", "--trials", "1", "--jobs", "1",
+                                 "--out", f"{tmp}/s.csv"])

@@ -161,6 +161,54 @@ def test_placement_fills_feasible_sizes(sizes, data):
     _assert_placed(lfr._assign_membership(sizes, d_int, rng), sizes, d_int)
 
 
+def test_wiring_rarely_retries_at_mu_zero(monkeypatch):
+    # the paper's N=500 setting: at mu=0 dense small communities make wirings drop most
+    calls = []
+    wire = lfr._wire
+
+    def spy(*args):
+        calls.append(1)
+        return wire(*args)
+
+    monkeypatch.setattr(lfr, "_wire", spy)
+    graphs = [generate(LfrParams(n=500, avg_k=20, gamma=2, beta_exp=2, mu=0.0, rng_seed=s)) for s in range(100, 140)]
+    assert sum(pg.attempts for pg in graphs) == len(calls)
+    assert len(calls) / len(graphs) <= 1.5
+
+
+@st.composite
+def _stub_pools(draw):
+    """Stubs over n nodes, each node in one group (every group holds an even
+    number of stubs once an odd group sheds one), and an optional community
+    per node. Degrees up to 8 on at most 16 nodes make many pools too dense
+    for the passes alone, so the swap rounds run."""
+    n = draw(st.integers(1, 16))
+    group_of = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    stubs = np.repeat(np.arange(n), draw(st.lists(st.integers(0, 8), min_size=n, max_size=n)))
+    groups = group_of[stubs]
+    for g in np.flatnonzero(np.bincount(groups, minlength=3) % 2):
+        drop = np.flatnonzero(groups == g)[-1]
+        stubs, groups = np.delete(stubs, drop), np.delete(groups, drop)
+    member = draw(st.none() | st.lists(st.integers(0, 2), min_size=n, max_size=n).map(np.array))
+    return n, stubs, groups, group_of, member
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stub_pools(), st.integers(0, 2**32 - 1))
+def test_matcher_places_simple_edges_and_keeps_every_stub(pool, seed):
+    n, stubs, groups, group_of, member = pool
+    placed, leftover = lfr._match(stubs, groups, n, np.random.default_rng(seed), member)
+    assert placed.shape[1] == leftover.shape[1] == 2
+    assert np.array_equal(np.sort(np.concatenate([placed.ravel(), leftover.ravel()])), np.sort(stubs))
+    u, w = placed.T
+    assert (group_of[u] == group_of[w]).all()
+    assert (u != w).all()
+    keys = np.minimum(u, w) * n + np.maximum(u, w)
+    assert np.unique(keys).size == keys.size
+    if member is not None:
+        assert (member[u] != member[w]).all()
+
+
 @pytest.mark.parametrize("field", ["avg_k", "gamma", "beta_exp"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_parameters_rejected(field, value):
