@@ -57,6 +57,10 @@ class Graph:
         """Degree of every node, as an array."""
         return np.diff(self.offsets)
 
+    def sources(self) -> np.ndarray:
+        """Source node of every arc, aligned with ``targets``."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
+
     def neighbors(self, v: int) -> np.ndarray:
         self._check_node(v)
         return self.targets[self.offsets[v] : self.offsets[v + 1]]
@@ -102,10 +106,9 @@ class Graph:
     def validate(self) -> None:
         """Re-check the structural invariants; raises ValueError on violation."""
         n = self.n
-        deg = self.degrees()
-        if deg.sum() != 2 * self.m:
+        if self.degrees().sum() != 2 * self.m:
             raise ValueError("degree sum != 2m")
-        u = np.repeat(np.arange(n, dtype=np.int64), deg)
+        u = self.sources()
         w = self.targets
         if w.size:
             if (u == w).any():
@@ -172,8 +175,7 @@ def load_edge_list(source: str | Path | IO[str] | Iterable[str]) -> Graph:
 
 def write_edge_list(g: Graph, stream: IO[str]) -> None:
     """Write each undirected edge once (lower internal id first)."""
-    deg = g.degrees()
-    u = np.repeat(np.arange(g.n, dtype=np.int64), deg)
+    u = g.sources()
     mask = u < g.targets
     for a, b in zip(u[mask], g.targets[mask]):
         stream.write(f"{g.labels[a]} {g.labels[b]}\n")

@@ -3,9 +3,12 @@ planted single-membership communities, mixing parameter mu.
 
 Each node keeps a fraction 1-mu of its edges inside its own community
 (internal stub count ceil((1-mu) * k), so mu=0 yields strictly zero
-inter-community edges). Nodes are placed in descending internal degree,
-each into a random free slot of a community larger than that degree, which
-cannot run out of room on sizes that pass the capacity check.
+inter-community edges). Community sizes come from one power-law draw cut
+where its running sum reaches n, and must pass a capacity check (one sorted
+comparison); an attempt with an internal degree of s_max or more draws no
+sizes, as no community can host it. Nodes are placed in descending internal
+degree, each into a random free slot of a community larger than that
+degree, which cannot run out of room on sizes that pass the check.
 
 Both edge classes are wired configuration-model style in array rounds: one
 matcher call pairs all internal stubs, grouped by community, and one pairs
@@ -74,6 +77,8 @@ class LfrParams:
             raise GenerationError(f"need 1 <= k_min <= k_max, got [{k_min}, {k_max}]")
         if k_max >= self.n:
             raise GenerationError(f"k_max={k_max} must be below n={self.n}")
+        if k_max == 1 and self.n % 2:
+            raise GenerationError(f"k_max=1 with odd n={self.n}: every degree is 1, so the degree sum is odd")
         if not 1 <= s_min <= s_max:
             raise GenerationError(f"need 1 <= s_min <= s_max, got [{s_min}, {s_max}]")
         if self.n < s_min:
@@ -123,17 +128,15 @@ def power_law_mean(exponent: float, lo: int, hi: int) -> float:
 
 
 def _calibrate_k_min(avg_k: float, gamma: float, k_max: int) -> int:
-    # start at ceil(avg_k / 2) and walk up while closeness to the target improves
+    def miss(k: int) -> float:
+        return abs(power_law_mean(gamma, k, k_max) - avg_k)
+
+    # start at ceil(avg_k / 2) and walk up while closeness to the target
+    # improves; an empty support (k_max < 1) is left for validate to reject
     k = max(1, min(int(math.ceil(avg_k / 2)), k_max))
-    best, best_err = k, abs(power_law_mean(gamma, k, k_max) - avg_k)
-    while k < k_max:
+    while k < k_max and miss(k + 1) < miss(k):
         k += 1
-        err = abs(power_law_mean(gamma, k, k_max) - avg_k)
-        if err < best_err:
-            best, best_err = k, err
-        else:
-            break
-    return best
+    return k
 
 
 def internal_degree(k: int | np.ndarray, mu: float):
@@ -145,15 +148,16 @@ def generate(params: LfrParams) -> PlantedGraph:
     """Generate a planted-communities graph; deterministic in params.rng_seed.
 
     Pipeline: calibrated power-law degrees, power-law community sizes
-    tiling n, nodes placed in descending internal degree into random free
-    slots that fit them (this cannot fail on sizes that pass
-    `_sizes_feasible`; see `_assign_membership`), then configuration-model
-    matching of the internal and the external stub pools in array rounds of
-    shuffle passes and double-edge swaps (`_match`; at most 16 rounds of 16
-    proposals per colliding pair). An attempt whose wiring drops more than
-    1% of the edge budget, or leaves the mean degree below avg_k - 5%, is
-    redrawn from the degrees on. Raises GenerationError when the parameters
-    stay infeasible after bounded retries.
+    tiling n (up to 200 `_draw_sizes` tries for sizes that pass
+    `_sizes_feasible`, none when an internal degree reaches s_max), nodes
+    placed in descending internal degree into random free slots that fit
+    them (this cannot fail on such sizes; see `_assign_membership`), then
+    configuration-model matching of the internal and the external stub pools
+    in array rounds of shuffle passes and double-edge swaps (`_match`; at
+    most 16 rounds of 16 proposals per colliding pair). An attempt whose
+    wiring drops more than 1% of the edge budget, or leaves the mean degree
+    below avg_k - 5%, is redrawn from the degrees on. Raises GenerationError
+    when the parameters stay infeasible after bounded retries.
     """
     params.validate()
     k_min, k_max, s_min, s_max = params.resolved_bounds()
@@ -164,7 +168,8 @@ def generate(params: LfrParams) -> PlantedGraph:
         degrees, k_min = _draw_degrees(params, k_min, k_max, rng)
         d_int = internal_degree(degrees, params.mu)
         sizes = None
-        for _ in range(200):
+        # no community of at most s_max nodes hosts an internal degree >= s_max
+        for _ in range(200 if d_int.max() < s_max else 0):
             cand = _draw_sizes(params.n, params.beta_exp, s_min, s_max, rng)
             if cand is not None and _sizes_feasible(cand, d_int):
                 sizes = cand
@@ -210,57 +215,48 @@ def _draw_degrees(params: LfrParams, k_min: int, k_max: int, rng) -> tuple[np.nd
 
 
 def _even_degree_sum(deg: np.ndarray, k_max: int, rng) -> np.ndarray:
+    # an odd sum needs k_max >= 2 (validate rejects k_max 1 with odd n), so
+    # a node at k_max can give up a stub without dropping below 1
     if deg.sum() % 2:
         j = int(rng.integers(deg.size))
-        if deg[j] < k_max:
-            deg[j] += 1
-        elif deg[j] > 1:
-            deg[j] -= 1
-        else:
-            deg[int(np.argmax(deg < k_max))] += 1
+        deg[j] += 1 if deg[j] < k_max else -1
     return deg
 
 
 def _draw_sizes(n: int, beta_exp: float, s_min: int, s_max: int, rng) -> list[int] | None:
-    sizes: list[int] = []
-    total = 0
-    while total < n:
-        s = int(sample_power_law(beta_exp, s_min, s_max, 1, rng)[0])
-        sizes.append(s)
-        total += s
-    excess = total - n
-    if excess:
-        if sizes[-1] - excess >= s_min:
-            sizes[-1] -= excess
-        else:
-            # drop the overshooting draw, spread the deficit over the rest
-            sizes.pop()
-            deficit = n - sum(sizes)
-            while deficit > 0:
-                room = [i for i, s in enumerate(sizes) if s < s_max]
-                if not room:
-                    return None
-                for i in room:
-                    sizes[i] += 1
-                    deficit -= 1
-                    if deficit == 0:
-                        break
-    return sizes
+    """Community sizes in [s_min, s_max] that sum to n, or None.
+
+    One draw of n // s_min + 1 sizes always reaches n; the prefix up to the
+    first cumulative sum >= n is kept, which is the law of drawing one size
+    at a time until n is reached. An overshoot is trimmed from the last size
+    if it stays >= s_min; otherwise that size is dropped and the deficit is
+    spread one node at a time over the kept sizes below s_max, in order. None
+    when their free room is less than the deficit.
+    """
+    draws = sample_power_law(beta_exp, s_min, s_max, n // s_min + 1, rng)
+    total = np.cumsum(draws)
+    cut = int(np.searchsorted(total, n)) + 1
+    sizes, excess = draws[:cut], int(total[cut - 1]) - n
+    if sizes[-1] - excess >= s_min:
+        sizes[-1] -= excess
+        return sizes.tolist()
+    sizes = sizes[:-1]
+    deficit = n - int(sizes.sum())
+    # pass p adds a node to each size with more than p free slots, in order;
+    # the deficit is below s_min, so the (deficit, len) grid stays under n cells
+    slots = np.flatnonzero(s_max - sizes > np.arange(deficit)[:, None])[:deficit]
+    if slots.size < deficit:
+        return None
+    return (sizes + np.bincount(slots % sizes.size, minlength=sizes.size)).tolist()
 
 
 def _sizes_feasible(sizes: list[int], d_int: np.ndarray) -> bool:
-    """Capacity check: nodes needing internal degree >= d only fit into
-    communities of size >= d+1, so those must jointly hold all of them."""
+    """Capacity check on sizes that sum to d_int.size: a node of internal
+    degree d fits only into a community of size > d. The communities that fit
+    a node are nested by degree, so (Hall) a placement exists iff the sorted
+    degrees lie below the sorted slot sizes, one slot per node."""
     sz = np.sort(np.asarray(sizes, dtype=np.int64))
-    suffix = np.concatenate([np.cumsum(sz[::-1])[::-1], [0]])
-    d_sorted = np.sort(d_int)
-    n = d_int.size
-    for d in np.unique(d_int):
-        supply = suffix[np.searchsorted(sz, d + 1, side="left")]
-        demand = n - np.searchsorted(d_sorted, d, side="left")
-        if supply < demand:
-            return False
-    return True
+    return bool((np.sort(d_int) < np.repeat(sz, sz)).all())
 
 
 def _assign_membership(sizes: list[int], d_int: np.ndarray, rng) -> np.ndarray:
@@ -487,8 +483,7 @@ def sample_seeds(pg: PlantedGraph, sigma: float, rng: np.random.Generator) -> tu
 def mixing_fraction(pg: PlantedGraph) -> float:
     """Realized fraction of edge endpoints that cross communities."""
     g = pg.graph
-    u = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees())
-    inter = pg.membership[u] != pg.membership[g.targets]
+    inter = pg.membership[g.sources()] != pg.membership[g.targets]
     return float(inter.sum() / max(1, g.targets.size))
 
 

@@ -124,6 +124,10 @@ def test_trial_records_generation_failure():
     assert not result.ok
     assert "GenerationError" in result.error
     assert np.isnan(result.q)
+    # a cell with no successful trial has no realized mixing or attempts to average
+    _, [summary] = run_sweep([(bad, 0.1)], trials=2, rng_seed=0)
+    assert summary.failures == 2
+    assert summary.mixing_mean is None and summary.attempts_mean is None
 
 
 def test_seed_resample_deterministic_and_binnable():

@@ -5,11 +5,13 @@ import json
 import subprocess
 import sys
 import tempfile
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seedwalk import bench, lfr, write_seed_file
@@ -219,14 +221,21 @@ def test_sweep_manifest_records_failures_and_coverage_gaps(tmp_path, capsys):
     code = main(["sweep", "--n", "200", "--avg-k", "10", "--mu", "0.0,0.3", "--sigma", "0.05",
                  "--trials", "3", "--rng-seed", "1", "--jobs", "1", "--out", str(out)])
     assert code == 0
-    assert "warning: 3 trial(s) failed" in capsys.readouterr().err
+    # the manifest reports what the same trials record when run in-process
+    base = lfr.LfrParams(n=200, avg_k=10, gamma=2.0, beta_exp=2.0, mu=0.0)
+    records, _ = bench.run_sweep([(base, 0.05), (replace(base, mu=0.3), 0.05)], trials=3, rng_seed=1)
+    assert f"warning: {sum(not r.ok for r in records)} trial(s) failed" in capsys.readouterr().err
     cells = json.loads(out.with_suffix(".manifest.json").read_text())["cells"]
-    assert [(c["failures"], c["failure_causes"], c["uncovered"]) for c in cells] == [
-        (3, {"ReachabilityError": 3}, 3),
-        (0, {}, 3),
-    ]
-    # realized mixing and wiring attempts average over the successful trials only
-    assert cells[0]["mixing_mean"] is None and cells[0]["attempts_mean"] is None
+    for cell, trials in zip(cells, (records[:3], records[3:])):
+        good = [r for r in trials if r.ok]
+        assert cell["failures"] == len(trials) - len(good)
+        assert cell["failure_causes"] == dict(Counter(type(r.failure).__name__ for r in trials if not r.ok))
+        assert cell["uncovered"] == sum(r.uncovered > 0 for r in trials)
+        # realized mixing and wiring attempts average over the successful trials only
+        assert cell["mixing_mean"] == (float(np.mean([r.mixing for r in good])) if good else None)
+        assert cell["attempts_mean"] == (float(np.mean([r.attempts for r in good])) if good else None)
+    assert cells[0]["failures"] >= 1 and set(cells[0]["failure_causes"]) == {"ReachabilityError"}
+    assert cells[1]["failures"] == 0
     assert abs(cells[1]["mixing_mean"] - 0.3) <= 0.05
     assert cells[1]["attempts_mean"] >= 1
 
@@ -543,12 +552,13 @@ def test_malformed_inputs_exit_with_a_documented_code(files, node):
             _assert_documented_exit(argv)
 
 
-def _assert_documented_exit(argv: list[str]) -> None:
+def _assert_documented_exit(argv: list[str]) -> int:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3, 4, 5, 64), (argv, code)
     assert "Traceback" not in err.getvalue()
+    return code
 
 
 # a size or degree bound: absent, at 0, 1 or 2, or next to n
@@ -558,15 +568,20 @@ BOUND = st.sampled_from([None, "0", "1", "2", "n-1", "n", "n+1"])
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 24), st.sampled_from(["0", "1"]), st.sampled_from(["1", "2", "3"]),
        st.lists(BOUND, min_size=4, max_size=4))
+# every degree 1 on an odd n: no even degree sum stays within k_max
+@example(11, "0", "1", [None, "n", "1", "1"])
 def test_generator_flags_exit_with_a_documented_code(n, mu, avg_k, bounds):
     # tiny graphs at mu 0 and 1 with every size and degree bound at an edge:
     # empty stub groups, one group holding every stub, and at mu=1 with one
-    # community an external pool with no valid pair
+    # community an external pool with no valid pair; a written graph keeps
+    # every degree within the resolved k_max
     flags = ["--n", str(n), "--avg-k", avg_k, "--mu", mu]
     for flag, bound in zip(("--s-min", "--s-max", "--k-min", "--k-max"), bounds):
         if bound is not None:
             flags += [flag, str({"n-1": n - 1, "n": n, "n+1": n + 1}.get(bound, bound))]
     with tempfile.TemporaryDirectory() as tmp:
-        _assert_documented_exit(["generate", *flags, "--out", f"{tmp}/g"])
+        if _assert_documented_exit(["generate", *flags, "--out", f"{tmp}/g"]) == 0:
+            k_max = json.loads(Path(f"{tmp}/g.manifest.json").read_text())["resolved_bounds"]["k_max"]
+            assert max(Counter(Path(f"{tmp}/g.edges").read_text().split()).values()) <= k_max
         _assert_documented_exit(["sweep", *flags, "--sigma", "0.5", "--trials", "1", "--jobs", "1",
                                  "--out", f"{tmp}/s.csv"])

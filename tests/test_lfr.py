@@ -68,8 +68,7 @@ def test_mu_zero_is_purely_intra():
 def test_mu_one_nearly_no_intra():
     pg = generate(LfrParams(n=500, avg_k=20, gamma=2.0, beta_exp=2.0, mu=1.0, rng_seed=4))
     g = pg.graph
-    u = np.repeat(np.arange(g.n), g.degrees())
-    intra_edges = (pg.membership[u] == pg.membership[g.targets]).sum() // 2
+    intra_edges = (pg.membership[g.sources()] == pg.membership[g.targets]).sum() // 2
     assert intra_edges <= 0.01 * g.m
 
 
@@ -115,6 +114,7 @@ def test_degree_exponent_recoverable():
     assert abs(best - 2.0) <= 0.3
 
 
+@pytest.mark.filterwarnings("error")
 def test_infeasible_parameters_rejected():
     with pytest.raises(GenerationError, match="k_max"):
         generate(LfrParams(n=100, avg_k=20, gamma=2.0, beta_exp=2.0, mu=0.1, k_max=150))
@@ -126,6 +126,66 @@ def test_infeasible_parameters_rejected():
         generate(LfrParams(n=8, avg_k=2, gamma=2.0, beta_exp=2.0, mu=0.1, s_min=10))
     with pytest.raises(GenerationError, match="s_max"):
         generate(LfrParams(n=500, avg_k=20, gamma=2.0, beta_exp=2.0, mu=0.2, s_max=10**12))
+    # k_max 0 with k_min unset: no k_min calibration on the empty support
+    with pytest.raises(GenerationError, match="k_max"):
+        generate(LfrParams(n=10, avg_k=1, gamma=2.0, beta_exp=2.0, mu=0.0, k_max=0))
+    # every degree is 1, so an odd n has an odd degree sum; evening it out
+    # used to give node 0 degree 2 > k_max
+    for seed in range(5):
+        with pytest.raises(GenerationError, match="odd n=11"):
+            generate(LfrParams(n=11, avg_k=1, gamma=2, beta_exp=2, mu=0.5, k_min=1, k_max=1, s_min=2, s_max=11,
+                               rng_seed=seed))
+
+
+def test_unhostable_internal_degrees_fail_without_a_size_draw(monkeypatch):
+    # every node has internal degree >= 1 and no community exceeds 1 node
+    calls = []
+    monkeypatch.setattr(lfr, "_draw_sizes", lambda *args: calls.append(args))
+    with pytest.raises(GenerationError, match="no community size draw"):
+        generate(LfrParams(n=24, avg_k=1, gamma=2.0, beta_exp=2.0, mu=0.0, s_min=1, s_max=1))
+    assert calls == []
+
+
+def _sizes_one_at_a_time(draws, n, s_min, s_max):
+    """Reference rule: take draws until their sum reaches n; trim the last
+    size, or drop it and add one node per pass to each size below s_max."""
+    sizes = []
+    for s in draws.tolist():
+        if sum(sizes) >= n:
+            break
+        sizes.append(s)
+    excess = sum(sizes) - n
+    if sizes[-1] - excess >= s_min:
+        sizes[-1] -= excess
+        return sizes
+    sizes.pop()
+    deficit = n - sum(sizes)
+    while deficit:
+        room = [i for i, s in enumerate(sizes) if s < s_max][:deficit]
+        if not room:
+            return None
+        for i in room:
+            sizes[i] += 1
+        deficit -= len(room)
+    return sizes
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.data(), st.floats(1.1, 4.0), st.integers(0, 2**32 - 1))
+def test_size_draw_tiles_n_or_lacks_room(n, data, beta_exp, seed):
+    s_min = data.draw(st.integers(1, n))
+    s_max = data.draw(st.integers(s_min, n))
+    sizes = lfr._draw_sizes(n, beta_exp, s_min, s_max, np.random.default_rng(seed))
+    draws = sample_power_law(beta_exp, s_min, s_max, n // s_min + 1, np.random.default_rng(seed))
+    assert sizes == _sizes_one_at_a_time(draws, n, s_min, s_max)
+    if sizes is not None:
+        assert sum(sizes) == n
+        assert all(s_min <= s <= s_max for s in sizes)
+        return
+    # the sizes kept before the one that reaches n have less room below
+    # s_max than the deficit
+    kept = draws[: int(np.argmax(np.cumsum(draws) >= n))]
+    assert int((s_max - kept).sum()) < n - int(kept.sum())
 
 
 def _assert_placed(member, sizes, d_int):
@@ -150,15 +210,29 @@ def test_placement_never_fails_on_a_generated_input(monkeypatch):
         _assert_placed(place(sizes, d_int, np.random.default_rng(seed)), sizes, d_int)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(1, 12), min_size=1, max_size=8), st.data())
-def test_placement_fills_feasible_sizes(sizes, data):
+def _fits_every_threshold(sizes, d_int) -> bool:
+    """For every t, the nodes of internal degree >= t fit into the
+    communities larger than t."""
+    return all((d_int >= t).sum() <= sum(s for s in sizes if s > t) for t in range(max(sizes) + 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=8), st.booleans(), st.data())
+def test_placement_fills_feasible_sizes(sizes, witness, data):
     # a witness placement, each slot holding a degree below its community's
-    # size, makes the sizes feasible by construction
-    d_int = np.array([data.draw(st.integers(0, s - 1)) for s in sizes for _ in range(s)])
-    assert lfr._sizes_feasible(sizes, d_int)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    _assert_placed(lfr._assign_membership(sizes, d_int, rng), sizes, d_int)
+    # size, makes the sizes feasible by construction; free degrees up to the
+    # largest size are often infeasible
+    n = sum(sizes)
+    if witness:
+        d_int = np.array([data.draw(st.integers(0, s - 1)) for s in sizes for _ in range(s)])
+    else:
+        d_int = np.array(data.draw(st.lists(st.integers(0, max(sizes)), min_size=n, max_size=n)))
+    feasible = lfr._sizes_feasible(sizes, d_int)
+    assert feasible == _fits_every_threshold(sizes, d_int)
+    assert feasible or not witness
+    if feasible:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        _assert_placed(lfr._assign_membership(sizes, d_int, rng), sizes, d_int)
 
 
 def test_wiring_rarely_retries_at_mu_zero(monkeypatch):
