@@ -306,7 +306,7 @@ def _add_lfr_flags(p: argparse.ArgumentParser, mu_list: bool) -> None:
         p.add_argument("--mu", type=MU_LIST, required=True, help="mixing parameter(s), comma separated")
     else:
         p.add_argument("--mu", type=float, required=True, help="mixing parameter in [0, 1]")
-    p.add_argument("--k-min", type=int, default=None, help="min degree (default: calibrated)")
+    p.add_argument("--k-min", type=int, default=None, help="min degree (default: power-law mean closest to avg_k)")
     p.add_argument("--k-max", type=int, default=None, help="max degree (default: min(3*avg_k, n/10))")
     p.add_argument("--s-min", type=int, default=None, help="min community size (default 10)")
     p.add_argument("--s-max", type=int, default=None, help="max community size (default n/5)")

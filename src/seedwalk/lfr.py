@@ -72,6 +72,9 @@ class LfrParams:
             raise GenerationError("power-law exponents must be finite and exceed 1")
         if not 0 < self.avg_k < math.inf:
             raise GenerationError("avg_k must be positive and finite")
+        # before k_min is resolved: its calibration spans [1, k_max]
+        if self.k_max is not None and not 1 <= self.k_max < self.n:
+            raise GenerationError(f"need 1 <= k_max < n={self.n}, got k_max={self.k_max}")
         k_min, k_max, s_min, s_max = self.resolved_bounds()
         if not 1 <= k_min <= k_max:
             raise GenerationError(f"need 1 <= k_min <= k_max, got [{k_min}, {k_max}]")
@@ -81,10 +84,11 @@ class LfrParams:
             raise GenerationError(f"k_max=1 with odd n={self.n}: every degree is 1, so the degree sum is odd")
         if not 1 <= s_min <= s_max:
             raise GenerationError(f"need 1 <= s_min <= s_max, got [{s_min}, {s_max}]")
-        if self.n < s_min:
-            raise GenerationError(f"n={self.n} below the minimum community size {s_min}")
         if s_max > self.n:
             raise GenerationError(f"s_max={s_max} must not exceed n={self.n}")
+        # some count c of sizes has c * s_min <= n <= c * s_max (this also rejects n < s_min)
+        if -(-self.n // s_max) > self.n // s_min:
+            raise GenerationError(f"no count of sizes in [{s_min}, {s_max}] sums to n={self.n}")
         if not k_min <= self.avg_k <= k_max:
             raise GenerationError(f"avg_k={self.avg_k} outside degree bounds [{k_min}, {k_max}]")
 
@@ -120,23 +124,14 @@ def sample_power_law(exponent: float, lo: int, hi: int, count: int, rng: np.rand
     return (lo + np.searchsorted(cdf, rng.random(count), side="right")).astype(np.int64)
 
 
-def power_law_mean(exponent: float, lo: int, hi: int) -> float:
-    """Mean of the truncated discrete power law, by direct summation."""
-    support = np.arange(lo, hi + 1, dtype=np.float64)
-    w = support ** (-exponent)
-    return float((support * w).sum() / w.sum())
-
-
 def _calibrate_k_min(avg_k: float, gamma: float, k_max: int) -> int:
-    def miss(k: int) -> float:
-        return abs(power_law_mean(gamma, k, k_max) - avg_k)
-
-    # start at ceil(avg_k / 2) and walk up while closeness to the target
-    # improves; an empty support (k_max < 1) is left for validate to reject
-    k = max(1, min(int(math.ceil(avg_k / 2)), k_max))
-    while k < k_max and miss(k + 1) < miss(k):
-        k += 1
-    return k
+    """The k in [1, k_max] whose truncated power-law mean on [k, k_max] is
+    closest to avg_k (the smallest such k on a tie)."""
+    x = np.arange(1, k_max + 1, dtype=np.float64)
+    # tail sums of x^(1-gamma) and x^-gamma give the mean for every k at once
+    num = np.cumsum((x ** (1 - gamma))[::-1])[::-1]
+    den = np.cumsum((x ** -gamma)[::-1])[::-1]
+    return int(np.argmin(np.abs(num / den - avg_k))) + 1
 
 
 def internal_degree(k: int | np.ndarray, mu: float):
@@ -147,7 +142,8 @@ def internal_degree(k: int | np.ndarray, mu: float):
 def generate(params: LfrParams) -> PlantedGraph:
     """Generate a planted-communities graph; deterministic in params.rng_seed.
 
-    Pipeline: calibrated power-law degrees, power-law community sizes
+    Pipeline: power-law degrees, all drawn at the one k_min that
+    `resolved_bounds` reports, power-law community sizes
     tiling n (up to 200 `_draw_sizes` tries for sizes that pass
     `_sizes_feasible`, none when an internal degree reaches s_max), nodes
     placed in descending internal degree into random free slots that fit
@@ -165,7 +161,7 @@ def generate(params: LfrParams) -> PlantedGraph:
     failures: list[str] = []
     attempts = 0
     for _ in range(_MAX_ATTEMPTS):
-        degrees, k_min = _draw_degrees(params, k_min, k_max, rng)
+        degrees = _draw_degrees(params, k_min, k_max, rng)
         d_int = internal_degree(degrees, params.mu)
         sizes = None
         # no community of at most s_max nodes hosts an internal degree >= s_max
@@ -194,23 +190,16 @@ def generate(params: LfrParams) -> PlantedGraph:
     )
 
 
-def _draw_degrees(params: LfrParams, k_min: int, k_max: int, rng) -> tuple[np.ndarray, int]:
-    band = 0.05 * params.avg_k
-    calibrate = params.k_min is None
-    cur = k_min
+def _draw_degrees(params: LfrParams, k_min: int, k_max: int, rng) -> np.ndarray:
+    """Power-law degrees on [k_min, k_max], redrawn until their mean is
+    within 5% of avg_k, with an even sum."""
     for _ in range(200):
-        deg = sample_power_law(params.gamma, cur, k_max, params.n, rng)
-        err = float(deg.mean()) - params.avg_k
-        if abs(err) <= band:
-            return _even_degree_sum(deg, k_max, rng), cur
-        if calibrate:
-            if err < 0 and cur < k_max:
-                cur += 1
-            elif err > 0 and cur > 1:
-                cur -= 1
+        deg = sample_power_law(params.gamma, k_min, k_max, params.n, rng)
+        if abs(float(deg.mean()) - params.avg_k) <= 0.05 * params.avg_k:
+            return _even_degree_sum(deg, k_max, rng)
     raise GenerationError(
         f"degree sample mean would not settle within 5% of avg_k={params.avg_k} "
-        f"(bounds [{cur}, {k_max}])"
+        f"(bounds [{k_min}, {k_max}])"
     )
 
 

@@ -561,8 +561,9 @@ def _assert_documented_exit(argv: list[str]) -> int:
     return code
 
 
-# a size or degree bound: absent, at 0, 1 or 2, or next to n
-BOUND = st.sampled_from([None, "0", "1", "2", "n-1", "n", "n+1"])
+# a size or degree bound: absent, at 0, 1 or 2, next to n, or far too large to
+# allocate a support for
+BOUND = st.sampled_from([None, "0", "1", "2", "n-1", "n", "n+1", "100000000000"])
 
 
 @settings(max_examples=60, deadline=None)

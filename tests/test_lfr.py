@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seedwalk import GenerationError, LfrParams, ParseError, generate, lfr, mixing_fraction, sample_seeds
@@ -49,6 +49,45 @@ def test_power_law_invalid_arguments():
         sample_power_law(1.0, 1, 5, 10, rng)
     with pytest.raises(ValueError, match="support"):
         sample_power_law(2.0, 6, 5, 10, rng)
+
+
+def _truncated_mean(exponent, lo, hi):
+    """Mean of the truncated discrete power law on [lo, hi], by direct summation."""
+    xs = np.arange(lo, hi + 1, dtype=np.float64)
+    w = xs ** -exponent
+    return float((xs * w).sum() / w.sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.5, 80.0), st.floats(1.1, 4.0), st.integers(1, 120))
+# the N=1000 default: 9 is closest (mean 19.43), but a walk up from
+# ceil(avg_k / 2) = 10 (mean 20.88) never looks below its start
+@example(20.0, 2.0, 60)
+def test_k_min_calibration_is_closest_over_the_whole_range(avg_k, gamma, k_max):
+    k_min = lfr._calibrate_k_min(avg_k, gamma, k_max)
+    assert 1 <= k_min <= k_max
+    miss = [abs(_truncated_mean(gamma, k, k_max) - avg_k) for k in range(1, k_max + 1)]
+    assert miss[k_min - 1] <= min(miss) + 1e-9
+
+
+@pytest.mark.parametrize("n", [500, 1000])
+def test_every_degree_draw_uses_the_reported_k_min(monkeypatch, n):
+    # degree draws are the sample_power_law calls of n values; size draws
+    # make n // s_min + 1
+    lows = []
+    draw = lfr.sample_power_law
+
+    def spy(exponent, lo, hi, count, rng):
+        if count == n:
+            lows.append(lo)
+        return draw(exponent, lo, hi, count, rng)
+
+    monkeypatch.setattr(lfr, "sample_power_law", spy)
+    for seed in range(100, 140):
+        params = LfrParams(n=n, avg_k=20, gamma=2, beta_exp=2, mu=0.3, rng_seed=seed)
+        generate(params)
+        assert set(lows) == {params.resolved_bounds()[0]}, seed
+        lows.clear()
 
 
 def test_internal_degree_rounding():
@@ -143,6 +182,15 @@ def test_unhostable_internal_degrees_fail_without_a_size_draw(monkeypatch):
     monkeypatch.setattr(lfr, "_draw_sizes", lambda *args: calls.append(args))
     with pytest.raises(GenerationError, match="no community size draw"):
         generate(LfrParams(n=24, avg_k=1, gamma=2.0, beta_exp=2.0, mu=0.0, s_min=1, s_max=1))
+    assert calls == []
+
+
+def test_size_bounds_that_cannot_tile_n_fail_without_a_size_draw(monkeypatch):
+    # four sizes of 5 make 20 nodes and five make 25: none makes 24
+    calls = []
+    monkeypatch.setattr(lfr, "_draw_sizes", lambda *args: calls.append(args))
+    with pytest.raises(GenerationError, match="sums to n=24"):
+        generate(LfrParams(n=24, avg_k=2, gamma=2.0, beta_exp=2.0, mu=0.1, s_min=5, s_max=5))
     assert calls == []
 
 
