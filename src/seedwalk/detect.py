@@ -20,43 +20,39 @@ from .seeds import SeedSet
 
 
 class AffinityMatrix:
-    """Per-node affinity vectors: computed rows for transient nodes, the
-    given rows for seeds.
+    """Per-node affinity vectors in node-id order: the solved rows for
+    transient nodes, the given rows for seeds.
 
-    rows holds the raw solver output (ascending transient id); clamping to
-    [0, 1] happens only at output boundaries so that linearity in the seed
+    values is (n x l) and holds the raw solver output; clamping to [0, 1]
+    happens only at output boundaries so that linearity in the seed
     affinities stays observable.
     """
 
-    __slots__ = ("transient_ids", "rows", "seed_ids", "seed_rows", "l", "reports")
+    __slots__ = ("values", "transient_ids", "reports")
 
-    def __init__(self, transient_ids, rows, seed_ids, seed_rows, reports=None):
+    def __init__(self, values, transient_ids, reports=None):
+        self.values = values
         self.transient_ids = transient_ids
-        self.rows = rows
-        self.seed_ids = seed_ids
-        self.seed_rows = seed_rows
-        self.l = rows.shape[1] if rows.size else seed_rows.shape[1]
         self.reports = reports
 
     @property
     def n(self) -> int:
-        return self.transient_ids.size + self.seed_ids.size
+        return self.values.shape[0]
 
-    def full_rows(self) -> np.ndarray:
-        """(n x l) matrix over all nodes, raw values."""
-        out = np.empty((self.n, self.l))
-        out[self.transient_ids] = self.rows
-        out[self.seed_ids] = self.seed_rows
-        return out
+    @property
+    def l(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The solved rows of the transient nodes, in ascending id (a copy)."""
+        return self.values[self.transient_ids]
 
     def row_for(self, node: int) -> np.ndarray:
         """Raw affinity vector of one node."""
         if not 0 <= node < self.n:
             raise IndexError(f"node id {node} out of range [0, {self.n})")
-        i = np.searchsorted(self.seed_ids, node)
-        if i < self.seed_ids.size and self.seed_ids[i] == node:
-            return self.seed_rows[i].copy()
-        return self.rows[np.searchsorted(self.transient_ids, node)].copy()
+        return self.values[node].copy()
 
 
 def detect_multi(
@@ -66,7 +62,7 @@ def detect_multi(
     max_iter: int | None = None,
     jobs: int = 1,
 ) -> AffinityMatrix:
-    """Affinity vectors for all non-seed nodes, one solve per community.
+    """Affinity vectors of all nodes, one solve per community.
 
     The system is assembled and preconditioned once; the l right-hand sides
     reuse it in up to `jobs` processes. Raises ReachabilityError if some node
@@ -75,26 +71,18 @@ def detect_multi(
     chain = build_chain(g, seeds.ids)
     system = solver.assemble(chain, seeds)
     X, reports = solver.solve_iterative_all(system, tol=tol, max_iter=max_iter, jobs=jobs)
+    del system  # its dense right-hand sides are as large as X: free them before values is allocated
     if not all(r.converged for r in reports):
         raise ConvergenceError(reports)
-    return AffinityMatrix(
-        transient_ids=chain.transient,
-        rows=X,
-        seed_ids=seeds.ids.copy(),
-        seed_rows=seeds.rows.copy(),
-        reports=reports,
-    )
+    values = np.empty((g.n, seeds.l))
+    values[chain.transient] = X
+    values[seeds.ids] = seeds.rows
+    return AffinityMatrix(values, chain.transient, reports)
 
 
 def assign_crisp(aff: AffinityMatrix) -> np.ndarray:
-    """Argmax community per node id (int64); ties break to the lowest index.
-
-    Seed nodes are assigned from their given affinity rows.
-    """
-    crisp = np.empty(aff.n, np.int64)
-    crisp[aff.transient_ids] = np.argmax(aff.rows, axis=1)
-    crisp[aff.seed_ids] = np.argmax(aff.seed_rows, axis=1)
-    return crisp
+    """Argmax community per node id (int64); ties break to the lowest index."""
+    return np.argmax(aff.values, axis=1).astype(np.int64, copy=False)
 
 
 def _csv_field(label: str) -> str:
@@ -113,16 +101,11 @@ def write_affinity_csv(aff: AffinityMatrix, g: Graph, stream: IO[str], jobs: int
 
 
 def _format_rows(aff: AffinityMatrix, labels, start: int) -> str:
-    """Rows of node ids start..start+1023, gathered from rows and seed_rows (both in
-    ascending id order) and clipped: the n x l matrix is never held whole as floats."""
-    stop = min(start + 1024, aff.n)
-    block = np.empty((stop - start, aff.l))
-    for ids, values in ((aff.transient_ids, aff.rows), (aff.seed_ids, aff.seed_rows)):
-        lo, hi = np.searchsorted(ids, [start, stop])
-        block[ids[lo:hi] - start] = values[lo:hi]
-    np.clip(block, 0.0, 1.0, out=block)
+    """Rows of node ids start..start+1023, clipped: only one block of the
+    n x l matrix is ever held as clipped floats and strings."""
+    block = np.clip(aff.values[start : start + 1024], 0.0, 1.0)
     row_format = "%s" + ",%.9g" * aff.l + "\n"
-    cells = zip(map(_csv_field, labels[start:stop]), block.tolist())
+    cells = zip(map(_csv_field, labels[start : start + 1024]), block.tolist())
     return "".join(row_format % (label, *row) for label, row in cells)
 
 

@@ -119,7 +119,8 @@ def sample_power_law(exponent: float, lo: int, hi: int, count: int, rng: np.rand
     if not 1 <= lo <= hi:
         raise ValueError(f"empty support [{lo}, {hi}]")
     support = np.arange(lo, hi + 1, dtype=np.float64)
-    cdf = np.cumsum(support ** (-exponent))
+    # weights relative to the first, which stays 1 where the others underflow
+    cdf = np.cumsum((support / lo) ** (-exponent))
     cdf /= cdf[-1]
     return (lo + np.searchsorted(cdf, rng.random(count), side="right")).astype(np.int64)
 
@@ -131,7 +132,8 @@ def _calibrate_k_min(avg_k: float, gamma: float, k_max: int) -> int:
     # tail sums of x^(1-gamma) and x^-gamma give the mean for every k at once
     num = np.cumsum((x ** (1 - gamma))[::-1])[::-1]
     den = np.cumsum((x ** -gamma)[::-1])[::-1]
-    return int(np.argmin(np.abs(num / den - avg_k))) + 1
+    # a tail whose weights all underflow puts all its mass on its first value
+    return int(np.argmin(np.abs(np.divide(num, den, out=x.copy(), where=den > 0) - avg_k))) + 1
 
 
 def internal_degree(k: int | np.ndarray, mu: float):
@@ -442,8 +444,8 @@ def sample_seeds(pg: PlantedGraph, sigma: float, rng: np.random.Generator) -> tu
     """Uniform seed subset of size round(sigma * n) with indicator affinities.
 
     Resamples a bounded number of times to put at least one seed in every
-    community; communities still uncovered afterwards are returned in the
-    second element.
+    community with members; those still uncovered afterwards are returned in
+    the second element.
     """
     if not 0 < sigma <= 1:
         raise ValueError(f"sigma={sigma} outside (0, 1]")
@@ -452,19 +454,20 @@ def sample_seeds(pg: PlantedGraph, sigma: float, rng: np.random.Generator) -> tu
     if count < 1:
         raise ValueError("sigma too small: no seeds")
     ncomm = pg.n_communities
+    # a truth file may skip a community index: no seed can cover that empty community
+    populated = np.asarray(pg.sizes) > 0
     best_ids = None
     best_missing = ncomm + 1
     for _ in range(50):
         ids = rng.choice(n, size=count, replace=False)
-        covered = np.unique(pg.membership[ids])
-        missing = ncomm - covered.size
+        missing = int(populated.sum()) - np.unique(pg.membership[ids]).size
         if missing < best_missing:
             best_ids, best_missing = ids, missing
         if missing == 0:
             break
     covered = np.zeros(ncomm, dtype=bool)
     covered[pg.membership[best_ids]] = True
-    uncovered = np.flatnonzero(~covered).tolist()
+    uncovered = np.flatnonzero(populated & ~covered).tolist()
     seed_set = SeedSet.from_membership(np.sort(best_ids), pg.membership, ncomm)
     return seed_set, uncovered
 

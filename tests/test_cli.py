@@ -266,7 +266,7 @@ def test_detect_rerun_is_byte_identical(fig_files, tmp_path):
 def test_detect_outputs_independent_of_jobs(tmp_path):
     # more than one solve block and more than one CSV chunk, so --jobs 2 runs
     # both in worker processes; they get their state through the pool
-    # initializer, so workers that inherit no memory (spawn) give the same bytes
+    # initializer, so workers that inherit no memory (spawn, forkserver) give the same bytes
     prefix = tmp_path / "g"
     assert main(["generate", "--n", "1200", "--avg-k", "10", "--mu", "0.3", "--s-min", "10", "--s-max", "40",
                  "--rng-seed", "3", "--out", str(prefix)]) == 0
@@ -279,10 +279,11 @@ def test_detect_outputs_independent_of_jobs(tmp_path):
     for jobs in ("1", "2"):
         assert main([*argv, str(tmp_path / jobs), "--jobs", jobs]) == 0
     src = str(Path(lfr.__file__).resolve().parents[1])
-    code = (f"import multiprocessing, sys; sys.path.insert(0, {src!r}); multiprocessing.set_start_method('spawn'); "
-            "from seedwalk.cli import main; sys.exit(main(sys.argv[1:]))")
-    subprocess.run([sys.executable, "-c", code, *argv, str(tmp_path / "spawn"), "--jobs", "2"], check=True)
-    for run in ("2", "spawn"):
+    code = (f"import multiprocessing, sys; sys.path.insert(0, {src!r}); multiprocessing.set_start_method(sys.argv[1]); "
+            "from seedwalk.cli import main; sys.exit(main(sys.argv[2:]))")
+    for method in ("spawn", "forkserver"):
+        subprocess.run([sys.executable, "-c", code, method, *argv, str(tmp_path / method), "--jobs", "2"], check=True)
+    for run in ("2", "spawn", "forkserver"):
         for suffix in (".affinity.csv", ".crisp.csv"):
             assert (tmp_path / f"{run}{suffix}").read_bytes() == (tmp_path / f"1{suffix}").read_bytes()
         m1, m = (json.loads((tmp_path / f"{r}.manifest.json").read_text()) for r in ("1", run))

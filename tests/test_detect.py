@@ -87,21 +87,37 @@ def test_crisp_argmax_and_ties(fig_graph, fig_seeds):
     assert crisp[fig_graph.id_of("s1")] == 0
     assert crisp[fig_graph.id_of("s2")] == 1
     # exact tie breaks to the lowest index
-    tied = AffinityMatrix(
-        transient_ids=np.array([0]),
-        rows=np.array([[0.5, 0.5]]),
-        seed_ids=np.array([1]),
-        seed_rows=np.array([[0.0, 1.0]]),
-    )
-    assert assign_crisp(tied)[0] == 0
-    # one int64 array indexed by node id: the argmax of the full matrix
+    tied = AffinityMatrix(np.array([[0.5, 0.5], [0.0, 1.0]]), transient_ids=np.array([0]))
+    assert assign_crisp(tied).tolist() == [0, 1]
+    # one int64 array indexed by node id: the argmax of each node's row,
+    # which for a seed is its given row
     rng = np.random.default_rng(71)
     g = random_connected_graph(rng, 80)
     ids = np.sort(rng.choice(g.n, size=12, replace=False))
-    for aff in (aff, detect_multi(g, SeedSet({int(v): rng.random(4) for v in ids}))):
+    seeds = SeedSet({int(v): rng.random(4) for v in ids})
+    for aff, given in ((aff, fig_seeds), (detect_multi(g, seeds), seeds)):
         crisp = assign_crisp(aff)
         assert isinstance(crisp, np.ndarray) and crisp.dtype == np.int64 and crisp.shape == (aff.n,)
-        assert np.array_equal(crisp, np.argmax(aff.full_rows(), axis=1))
+        assert crisp.tolist() == [int(np.argmax(aff.row_for(v))) for v in range(aff.n)]
+        assert np.array_equal(crisp[given.ids], np.argmax(given.rows, axis=1))
+
+
+def test_values_are_node_ordered(fig_graph):
+    # one C-ordered float64 (n x l) array: the given rows at seed ids, the
+    # solved rows (rows, in ascending id) at the others
+    rng = np.random.default_rng(73)
+    for g in (fig_graph, random_connected_graph(rng, 90)):
+        ids = np.sort(rng.choice(g.n, size=3, replace=False))
+        seeds = SeedSet({int(v): rng.random(3) for v in ids})
+        aff = detect_multi(g, seeds)
+        assert aff.values.shape == (g.n, 3) and aff.values.dtype == np.float64 and aff.values.flags.c_contiguous
+        assert (aff.n, aff.l) == (g.n, 3)
+        assert np.array_equal(aff.values[ids], seeds.rows)
+        assert np.array_equal(aff.transient_ids, np.setdiff1d(np.arange(g.n), ids))
+        assert np.array_equal(aff.rows, aff.values[aff.transient_ids])
+        assert all(np.array_equal(aff.row_for(v), aff.values[v]) for v in range(g.n))
+        with pytest.raises(IndexError):
+            aff.row_for(g.n)
 
 
 def test_crisp_single_community(fig_graph):
@@ -195,12 +211,13 @@ def test_affinity_csv_bytes_match_per_value_formatting():
     for k in (3, 2100):
         g = path_graph(k)
         rng = np.random.default_rng(67)
-        rows = np.vstack([[[0.0, 1.0, 1e-12], [-3e-7, 1.0000002, 1 / 3]], rng.random((k - 2, 3))])
-        seed_rows = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]])
-        aff = AffinityMatrix(np.arange(1, k + 1), rows, np.array([0, k + 1]), seed_rows)
+        # seeds s and t at ids 0 and k + 1, the solved rows of v1..vk between them
+        values = np.vstack([[[1.0, 0.0, 0.5], [0.0, 1.0, 1e-12], [-3e-7, 1.0000002, 1 / 3]],
+                            rng.random((k - 2, 3)), [[0.0, 1.0, 0.0]]])
+        aff = AffinityMatrix(values.copy(), np.arange(1, k + 1))
         buf = io.StringIO()
         write_affinity_csv(aff, g, buf)
-        clamped = np.clip(aff.full_rows(), 0.0, 1.0)
+        clamped = np.clip(values, 0.0, 1.0)
         expected = "node,c0,c1,c2\n" + "".join(
             g.labels[v] + "," + ",".join(f"{x:.9g}" for x in clamped[v]) + "\n" for v in range(g.n)
         )
@@ -216,7 +233,8 @@ def test_affinity_csv_bytes_independent_of_jobs():
     labels[1500] = 'x,"y'
     g = Graph.from_edges(k + 2, [(i, i + 1) for i in range(k + 1)], labels)
     rng = np.random.default_rng(71)
-    aff = AffinityMatrix(np.arange(1, k + 1), rng.random((k, 3)) * 1.2 - 0.1, np.array([0, k + 1]), np.eye(2, 3))
+    values = np.vstack([np.eye(1, 3), rng.random((k, 3)) * 1.2 - 0.1, np.eye(1, 3, 1)])
+    aff = AffinityMatrix(values, np.arange(1, k + 1))
     serial, pooled = io.StringIO(), io.StringIO()
     write_affinity_csv(aff, g, serial, jobs=1)
     write_affinity_csv(aff, g, pooled, jobs=2)
@@ -235,10 +253,11 @@ def test_crisp_csv_format(fig_graph, fig_seeds):
 
 def test_clamping_only_on_output():
     g = path_graph(2)
-    raw = np.array([[-0.25], [1.5]])
-    aff = AffinityMatrix(np.array([1, 2]), raw.copy(), np.array([0, 3]), np.array([[1.0], [0.0]]))
+    raw = np.array([[1.0], [-0.25], [1.5], [0.0]])
+    aff = AffinityMatrix(raw.copy(), np.array([1, 2]))
     buf = io.StringIO()
     write_affinity_csv(aff, g, buf)
     assert buf.getvalue() == "node,c0\ns,1\nv1,0\nv2,1\nt,0\n"
-    # raw rows stay untouched for downstream linear algebra
-    assert np.array_equal(aff.rows, raw)
+    # raw values stay untouched for downstream linear algebra
+    assert np.array_equal(aff.values, raw)
+    assert np.array_equal(aff.rows, [[-0.25], [1.5]])

@@ -176,6 +176,20 @@ def test_infeasible_parameters_rejected():
                                rng_seed=seed))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field", ["gamma", "beta_exp"])
+def test_exponents_whose_weights_underflow(field):
+    # x^-500 underflows to 0 beyond x = 4, so each law's mass sits on its
+    # lowest value: k_min resolves to avg_k and every size is s_min
+    assert (sample_power_law(500.0, 10, 50, 1000, np.random.default_rng(3)) == 10).all()
+    params = replace(LfrParams(n=100, avg_k=5, gamma=2.0, beta_exp=2.0, mu=0.1), **{field: 500.0})
+    pg = generate(params)
+    if field == "gamma":
+        assert params.resolved_bounds()[0] == 5
+    else:
+        assert pg.sizes == [10] * 10
+
+
 def test_unhostable_internal_degrees_fail_without_a_size_draw(monkeypatch):
     # every node has internal degree >= 1 and no community exceeds 1 node
     calls = []
@@ -371,6 +385,22 @@ def test_sample_seeds_flags_uncovered_community():
         _, uncovered = sample_seeds(pg, 0.1, np.random.default_rng(seed))
         hits.append(tuple(uncovered))
     assert (1,) in hits  # some draws leave the singleton community seedless
+
+
+def test_sample_seeds_ignores_empty_communities():
+    # a truth file may skip a community index; no seed can cover that empty
+    # community, so it must not count as missed. The draws are those of the
+    # same truth without the gap.
+    g = random_connected_graph(np.random.default_rng(4), 12)
+    membership = np.repeat([0, 1, 2], 4)
+    gapless = PlantedGraph(graph=g, membership=membership, sizes=[4, 4, 4])
+    shifted = PlantedGraph(graph=g, membership=membership + (membership >= 1), sizes=[4, 0, 4, 4])
+    for seed in range(20):
+        rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+        (s1, u1), (s2, u2) = sample_seeds(gapless, 0.25, rngs[0]), sample_seeds(shifted, 0.25, rngs[1])
+        assert np.array_equal(s1.ids, s2.ids) and rngs[0].random() == rngs[1].random()
+        assert u2 == [c + (c >= 1) for c in u1]
+        assert s2.l == 4 and not s2.rows[:, 1].any()
 
 
 def test_sample_seeds_sigma_range():
