@@ -65,17 +65,20 @@ def detect_multi(
     """Affinity vectors of all nodes, one solve per community.
 
     The system is assembled and preconditioned once; the l right-hand sides
-    reuse it in up to `jobs` processes. Raises ReachabilityError if some node
-    cannot reach a seed, ConvergenceError if the solver runs out of budget.
+    reuse it in up to `jobs` processes, and each solved block is written
+    straight into the n x l result, so no whole solution is held twice.
+    Raises ReachabilityError if some node cannot reach a seed,
+    ConvergenceError if the solver runs out of budget.
     """
     chain = build_chain(g, seeds.ids)
     system = solver.assemble(chain, seeds)
-    X, reports = solver.solve_iterative_all(system, tol=tol, max_iter=max_iter, jobs=jobs)
-    del system  # its dense right-hand sides are as large as X: free them before values is allocated
+    values = np.zeros((g.n, seeds.l))
+    _, reports = solver.solve_iterative_all(
+        system, tol=tol, max_iter=max_iter, jobs=jobs, out=values, rows=chain.transient
+    )
     if not all(r.converged for r in reports):
         raise ConvergenceError(reports)
-    values = np.empty((g.n, seeds.l))
-    values[chain.transient] = X
+    # after the solve: pages touched before it would count in every forked worker's RSS
     values[seeds.ids] = seeds.rows
     return AffinityMatrix(values, chain.transient, reports)
 

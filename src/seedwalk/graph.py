@@ -163,14 +163,14 @@ def load_edge_list(source: str | Path | IO[str] | Iterable[str]) -> Graph:
     self-loops and malformed lines raise ParseError.
     """
     ids: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
+    ends: list[int] = []  # both endpoints of every edge, flat: no tuple kept per edge
     for lineno, (a, b) in read_records(source, "node node"):
         if a == b:
             raise ParseError(f"line {lineno}: self-loop on node {a!r}")
-        edges.append((ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))))
-    if not edges:
+        ends += (ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids)))
+    if not ends:
         raise ParseError("empty edge list")
-    return Graph.from_edges(len(ids), edges, list(ids))
+    return Graph.from_edges(len(ids), np.array(ends, dtype=np.int64).reshape(-1, 2), list(ids))
 
 
 def write_edge_list(g: Graph, stream: IO[str]) -> None:

@@ -8,9 +8,11 @@ harmonic-function system f_u = (D_uu - W_uu)^-1 W_ul f_l of
 Zhu-Ghahramani-Lafferty (2003). D - A_TT is symmetric and diagonally
 dominant (a row restricted to some columns has no more entries than the
 whole row), strictly so wherever a transient node borders a seed. One matrix
-and one Jacobi preconditioner serve all l communities; the right-hand sides
-are solved by preconditioned conjugate gradient in balanced blocks of at most
-BLOCK columns, in up to `jobs` worker processes.
+and one Jacobi preconditioner serve all l communities. The right-hand sides
+stay sparse (most transient nodes border no seed) and are solved by
+preconditioned conjugate gradient in balanced blocks of at most BLOCK
+columns, in up to `jobs` worker processes; each block densifies only its own
+columns, and its solution is written straight into the caller's array.
 
 Every column comes out bit-identical to a solve of it alone, because every
 per-column sum runs row by row: the working arrays stay C-ordered and a lone
@@ -48,19 +50,26 @@ class SolveReport:
 @dataclass(frozen=True)
 class AbsorbingSystem:
     """The assembled system: sparse D - A_TT (the transient block of the graph
-    Laplacian), its diagonal D and all l right-hand sides."""
+    Laplacian), its diagonal D and all l right-hand sides A_TS beta as a
+    sparse dim x l CSC matrix b. A solve densifies at most BLOCK columns of b
+    at a time."""
 
     laplacian: scipy.sparse.csr_matrix
     diag: np.ndarray
-    rhs: np.ndarray
+    b: scipy.sparse.csc_matrix
 
     @property
     def dim(self) -> int:
-        return self.rhs.shape[0]
+        return self.b.shape[0]
 
     @property
     def communities(self) -> int:
-        return self.rhs.shape[1]
+        return self.b.shape[1]
+
+    @property
+    def rhs(self) -> np.ndarray:
+        """b as a dense dim x l array: a fresh copy, for residual checks only."""
+        return self.b.toarray()
 
     def matrix(self) -> scipy.sparse.csr_matrix:
         """Sparse D - A_TT over the transient subgraph."""
@@ -70,8 +79,9 @@ class AbsorbingSystem:
 def assemble(chain: AbsorbingChain, affinities: SeedSet) -> AbsorbingSystem:
     """Slice D - A_TT and the l right-hand sides A_TS beta out of the adjacency.
 
-    The SeedSet must cover exactly the chain's seeds. rhs[v, i] is the sum
-    of beta_i(s) over seed neighbors s of transient node v.
+    The SeedSet must cover exactly the chain's seeds. b[v, i] is the sum
+    of beta_i(s) over seed neighbors s of transient node v, added in the
+    same CSR order as a product with the dense rows would add them.
     """
     if not np.array_equal(affinities.ids, chain.seeds):
         raise ValueError("seed ids of the affinity set do not match the chain's seeds")
@@ -80,8 +90,8 @@ def assemble(chain: AbsorbingChain, affinities: SeedSet) -> AbsorbingSystem:
     rows = adjacency[chain.transient]
     diag = np.diff(rows.indptr).astype(np.float64)
     laplacian = (scipy.sparse.diags(diag) - rows[:, chain.transient]).tocsr()
-    rhs = rows[:, chain.seeds] @ affinities.rows
-    return AbsorbingSystem(laplacian, diag, rhs)
+    b = (rows[:, chain.seeds] @ scipy.sparse.csr_matrix(affinities.rows)).tocsc()
+    return AbsorbingSystem(laplacian, diag, b)
 
 
 def solve_iterative_all(
@@ -89,33 +99,46 @@ def solve_iterative_all(
     tol: float = DEFAULT_TOL,
     max_iter: int | None = None,
     jobs: int = 1,
+    out: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[SolveReport]]:
     """PCG over many right-hand sides in blocks of at most BLOCK columns, in up to `jobs` processes.
 
     A column converges when its true relative residual ||(D-A)x - b|| / ||b||
     is at most tol; on budget exhaustion its last iterate is returned with
     converged=False. A zero right-hand side short-circuits to the zero vector.
+    Solution row i is written to row rows[i] of out, which is returned; by
+    default out is a fresh zero dim x l array and rows is 0..dim-1. Columns
+    with a zero right-hand side are not written, so out must hold zeros there.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter is None:
         max_iter = 10 * system.dim + 100
-    X, used, rel = np.zeros_like(system.rhs), np.zeros(system.communities, dtype=np.int64), np.zeros(system.communities)
-    live = np.flatnonzero(_colnorm(system.rhs) > 0)
+    if out is None:
+        out = np.zeros((system.dim, system.communities))
+    if rows is None:
+        rows = np.arange(system.dim)
+    used, rel = np.zeros(system.communities, dtype=np.int64), np.zeros(system.communities)
+    # a sum of squares is zero exactly when every square is, in any order:
+    # these are the columns whose dense norm ||b|| is positive
+    live = np.flatnonzero(np.asarray(system.b.power(2).sum(axis=0)).ravel() > 0)
     # ceil(live / BLOCK) balanced blocks, rounded up to a multiple of the workers used
     blocks = max(1, -(-live.size // BLOCK))
     jobs = min(max(jobs, 1), blocks)
     tasks = [(cols, tol, max_iter) for cols in np.array_split(live, -(-blocks // jobs) * jobs)]
     for cols, x, n, r in pool_map(_solve_block, tasks, jobs, shared=(system,)):
-        X[:, cols], used[cols], rel[cols] = x, n, r
+        out[np.ix_(rows, cols)], used[cols], rel[cols] = x, n, r
         del x  # free it before this process solves the next block
     reports = [SolveReport(int(used[j]), float(rel[j]), bool(rel[j] <= tol)) for j in range(system.communities)]
-    return X, reports
+    return out, reports
 
 
 def _solve_block(system, cols, tol, max_iter) -> tuple:
     """(cols, X, iterations, relative residuals) of the right-hand sides cols."""
-    B = system.rhs.take(cols, axis=1)
+    # C order: CSC densifies to F order by default, and _coldot would then sum
+    # ||b|| pairwise instead of row by row
+    B = system.b[:, cols].toarray(order="C")
     bnorm = _colnorm(B)
     X, used, rel = np.zeros_like(B), np.zeros(cols.size, dtype=np.int64), np.zeros(cols.size)
     pending = np.arange(cols.size)

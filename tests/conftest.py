@@ -63,6 +63,13 @@ def random_connected_graph(rng: np.random.Generator, n: int, extra: float = 2.0)
     return Graph.from_edges(n, edges)
 
 
+def one_seed_per_community(rng: np.random.Generator, n: int, l: int) -> tuple[Graph, SeedSet]:
+    """A random connected graph on n nodes and l seeds, seed i the indicator of community i."""
+    g = random_connected_graph(rng, n)
+    ids = np.sort(rng.choice(n, size=l, replace=False))
+    return g, SeedSet.from_membership(ids, {int(v): i for i, v in enumerate(ids)}, l)
+
+
 def dense_absorption_oracle(g: Graph, seed_ids, seed_rows) -> tuple[list[int], np.ndarray]:
     """Brute-force affinities via the full transition matrix.
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seedwalk import bench, lfr, write_seed_file
+from seedwalk import SeedSet, bench, lfr, write_seed_file
 from seedwalk.cli import main
 from seedwalk.solver import BLOCK
 
@@ -289,6 +289,32 @@ def test_detect_outputs_independent_of_jobs(tmp_path):
         m1, m = (json.loads((tmp_path / f"{r}.manifest.json").read_text()) for r in ("1", run))
         for key in ("solver_iterations", "solver_residuals"):
             assert m[key] == m1[key]
+
+
+def test_detect_fuzzy_residuals_independent_of_jobs(tmp_path):
+    # fuzzy seeds give right-hand sides of unequal terms, whose norms' bits
+    # depend on the order of summation: regrouping the columns into blocks
+    # must change no column's iterations or residual
+    prefix = tmp_path / "g"
+    assert main(["generate", "--n", "1200", "--avg-k", "10", "--mu", "0.3", "--s-min", "10", "--s-max", "30",
+                 "--rng-seed", "3", "--out", str(prefix)]) == 0
+    pg = lfr.load_planted(f"{prefix}.edges", f"{prefix}.truth")
+    indicator, _ = lfr.sample_seeds(pg, 0.1, np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    rows = indicator.rows * rng.uniform(0.3, 1.0, indicator.rows.shape)
+    rows[np.arange(len(indicator)), rng.integers(indicator.l, size=len(indicator))] += rng.uniform(0.0, 0.3, len(indicator))
+    seeds = SeedSet({int(v): np.minimum(row, 1.0) for v, row in zip(indicator.ids, rows)})
+    assert -(-seeds.l // BLOCK) == 3  # three blocks, which --jobs 2 regroups into four
+    with open(f"{prefix}.seeds", "w", encoding="utf-8") as fh:
+        write_seed_file(seeds, pg.graph, fh)
+    manifests = []
+    for jobs in ("1", "2", "3"):
+        assert main(["detect", f"{prefix}.edges", f"{prefix}.seeds", "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+        manifests.append(json.loads((tmp_path / f"{jobs}.manifest.json").read_text()))
+        assert (tmp_path / f"{jobs}.affinity.csv").read_bytes() == (tmp_path / "1.affinity.csv").read_bytes()
+    for m in manifests[1:]:
+        for key in ("solver_iterations", "solver_residuals"):
+            assert m[key] == manifests[0][key]
 
 
 def test_detect_with_one_block_and_one_chunk_starts_no_pool(fig_files, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import io
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from seedwalk import (
     run_walks,
 )
 from seedwalk.detect import AffinityMatrix, write_affinity_csv, write_crisp_csv
-from seedwalk.solver import SolveReport
+from seedwalk.solver import BLOCK, SolveReport
 
-from conftest import path_graph, random_connected_graph
+from conftest import one_seed_per_community, path_graph, random_connected_graph
 
 
 def test_gamblers_ruin_profile():
@@ -78,6 +79,21 @@ def test_linearity_in_seed_affinities(fig_graph):
     a2 = detect_multi(fig_graph, SeedSet(beta2)).rows
     ac = detect_multi(fig_graph, SeedSet(combo)).rows
     assert np.abs(ac - (alpha * a1 + gamma * a2)).max() <= 1e-6
+
+
+def test_detect_holds_the_answer_plus_one_block():
+    # each solved block goes straight into the n x l result, so the peak is
+    # that array plus one block's PCG working set (about ten dim x BLOCK
+    # arrays), never a whole dim x l solution or right-hand side beside it
+    g, seeds = one_seed_per_community(np.random.default_rng(41), 3000, 600)
+    dim = g.n - len(seeds)
+    tracemalloc.start()
+    try:
+        detect_multi(g, seeds, jobs=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n * seeds.l * 8 + 14 * dim * BLOCK * 8
 
 
 def test_crisp_argmax_and_ties(fig_graph, fig_seeds):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from seedwalk import Graph, ParseError, load_edge_list, write_edge_list
 from seedwalk.graph import check_seed_reachability
 
-from conftest import labelled_edges, random_connected_graph
+from conftest import LABELS, labelled_edges, random_connected_graph
 
 
 def test_load_path_of_three():
@@ -26,8 +26,10 @@ def test_duplicate_edges_collapse():
 
 
 def test_self_loop_rejected():
-    with pytest.raises(ParseError, match="self-loop"):
+    with pytest.raises(ParseError, match="line 1: self-loop"):
         load_edge_list(io.StringIO("x x\n"))
+    with pytest.raises(ParseError, match="line 4: self-loop"):
+        load_edge_list(io.StringIO("a b\n\n# c c\nx x\n"))
 
 
 def test_malformed_line_reports_number():
@@ -88,6 +90,34 @@ def test_from_edges_matches_set_reference(case):
     assert g.targets.tolist() == [w for a in adj for w in a]
     assert g.duplicates_collapsed == len(edges) - len(distinct)
     g.validate()
+
+
+@st.composite
+def _edge_texts(draw):
+    """(label pairs in file order, edge-list text) with repeats, reversed
+    repeats, blank lines and comment lines among the edges."""
+    labels = draw(st.lists(LABELS, min_size=2, max_size=8, unique=True))
+    node = st.sampled_from(labels)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), min_size=1, max_size=30))
+    pairs += [p[::-1] for p in draw(st.lists(st.sampled_from(pairs), max_size=8))]
+    filler = st.lists(st.sampled_from(["", " \t", "# a b", "#x"]), max_size=2)
+    lines = [line for a, b in pairs for line in (*draw(filler), f"{a} {b}")]
+    return pairs, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_edge_texts())
+def test_load_edge_list_matches_from_edges_of_interned_pairs(case):
+    # labels get ids in order of first appearance, endpoint a before b
+    pairs, text = case
+    ids: dict[str, int] = {}
+    interned = [(ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))) for a, b in pairs]
+    expected = Graph.from_edges(len(ids), interned, list(ids))
+    g = load_edge_list(io.StringIO(text))
+    assert g.labels == expected.labels
+    assert np.array_equal(g.offsets, expected.offsets)
+    assert np.array_equal(g.targets, expected.targets)
+    assert g.duplicates_collapsed == expected.duplicates_collapsed
 
 
 def test_from_edges_rejects_self_loop():

@@ -1,15 +1,17 @@
 import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seedwalk import Graph, SeedSet, build_chain, load_edge_list
-from seedwalk.solver import BLOCK, assemble, solve_iterative_all
+from seedwalk.solver import BLOCK, SolveReport, assemble, solve_iterative_all
 
-from conftest import dense_absorption_oracle, path_graph, random_connected_graph
+from conftest import dense_absorption_oracle, one_seed_per_community, path_graph, random_connected_graph
 
 
 def _path_system(k=3, beta_s=1.0, beta_t=0.0):
@@ -39,6 +41,36 @@ def test_rhs_sums_seed_neighbor_affinities():
     rhs = {int(chain.transient[i]): system.rhs[i, 0] for i in range(system.dim)}
     assert rhs[g.id_of("v")] == pytest.approx(1.5)
     assert rhs[g.id_of("w")] == 0.0
+
+
+def test_sparse_rhs_is_the_dense_product_bitwise():
+    # fuzzy seed rows, zeros among them: the sparse product adds each row's
+    # terms in the same CSR order as the dense product, and skips only zeros
+    rng = np.random.default_rng(37)
+    g = random_connected_graph(rng, 400)
+    ids = np.sort(rng.choice(g.n, size=60, replace=False))
+    rows = rng.random((ids.size, 40)) * (rng.random((ids.size, 40)) < 0.3)
+    seeds = SeedSet({int(v): rows[i] for i, v in enumerate(ids)})
+    chain = build_chain(g, seeds.ids)
+    system = assemble(chain, seeds)
+    adjacency = scipy.sparse.csr_matrix((np.ones(g.targets.size), g.targets, g.offsets), shape=(g.n, g.n))
+    dense = adjacency[chain.transient][:, chain.seeds] @ seeds.rows
+    assert system.b.format == "csc"
+    assert system.b.toarray().tobytes() == dense.tobytes()
+
+
+def test_assemble_memory_stays_below_a_dense_rhs():
+    # one indicator seed per community: b holds one entry per transient-seed
+    # edge, so assembling costs a fraction of a dense dim x l right-hand side
+    g, seeds = one_seed_per_community(np.random.default_rng(41), 3000, 600)
+    chain = build_chain(g, seeds.ids)
+    tracemalloc.start()
+    try:
+        system = assemble(chain, seeds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < system.dim * system.communities * 8 / 4
 
 
 def test_assemble_rejects_mismatched_seed_ids():
@@ -112,7 +144,7 @@ def test_blocked_solve_matches_single_columns_bitwise():
     system = _multi_block_system()
     X, reports = solve_iterative_all(system)
     for j in range(system.communities):
-        x, (report,) = solve_iterative_all(dataclasses.replace(system, rhs=system.rhs[:, [j]]))
+        x, (report,) = solve_iterative_all(dataclasses.replace(system, b=system.b[:, [j]]))
         assert np.array_equal(x[:, 0], X[:, j])
         assert report == reports[j]
     assert reports[BLOCK - 1].iterations == 0
@@ -148,11 +180,11 @@ def test_columns_leaving_a_block_early_keep_the_others_bitwise(n):
     rhs = np.zeros((system.dim, BLOCK))
     rhs[:, 0::2] = rng.random((system.dim, BLOCK // 2))
     rhs[np.searchsorted(chain.transient, list(pendants)), np.arange(1, BLOCK, 2)] = 1.0
-    system = dataclasses.replace(system, rhs=rhs)
+    system = dataclasses.replace(system, b=scipy.sparse.csc_matrix(rhs))
     X, reports = solve_iterative_all(system)
     assert all(reports[j].iterations == 1 for j in range(1, BLOCK, 2))
     for j in range(BLOCK):
-        x, (report,) = solve_iterative_all(dataclasses.replace(system, rhs=rhs[:, [j]]))
+        x, (report,) = solve_iterative_all(dataclasses.replace(system, b=system.b[:, [j]]))
         assert np.array_equal(x[:, 0], X[:, j])
         assert report == reports[j]
 
@@ -174,7 +206,7 @@ def test_multi_block_solve_properties(seed, n, stochastic):
     system = assemble(build_chain(g, seeds.ids), seeds)
     X, reports = solve_iterative_all(system, tol=1e-12)
     for j in range(system.communities):
-        x, (report,) = solve_iterative_all(dataclasses.replace(system, rhs=system.rhs[:, [j]]), tol=1e-12)
+        x, (report,) = solve_iterative_all(dataclasses.replace(system, b=system.b[:, [j]]), tol=1e-12)
         assert np.array_equal(x[:, 0], X[:, j])
         assert report == reports[j]
     assert all(r.converged for r in reports)
@@ -192,6 +224,16 @@ def test_zero_rhs_short_circuits():
     assert np.array_equal(x, np.zeros((3, 1)))
     assert report.iterations == 0
     assert report.converged
+
+
+def test_rhs_whose_norm_underflows_short_circuits_like_zero():
+    # an affinity of 1e-200 is stored in b, but its square, and so ||b||, is
+    # 0: the column is skipped as a zero one, not divided by a zero norm
+    g, chain, _ = _path_system()
+    seeds = SeedSet({g.id_of("s"): [1e-200], g.id_of("t"): [0.0]})
+    x, (report,) = solve_iterative_all(assemble(chain, seeds))
+    assert np.array_equal(x, np.zeros((3, 1)))
+    assert report == SolveReport(0, 0.0, True)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, float("inf"), float("nan")])
