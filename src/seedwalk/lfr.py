@@ -468,8 +468,10 @@ def sample_seeds(pg: PlantedGraph, sigma: float, rng: np.random.Generator) -> tu
     covered = np.zeros(ncomm, dtype=bool)
     covered[pg.membership[best_ids]] = True
     uncovered = np.flatnonzero(populated & ~covered).tolist()
-    seed_set = SeedSet.from_membership(np.sort(best_ids), pg.membership, ncomm)
-    return seed_set, uncovered
+    ids = np.sort(best_ids)
+    rows = np.zeros((count, ncomm))
+    rows[np.arange(count), pg.membership[ids]] = 1.0
+    return SeedSet(ids, rows), uncovered
 
 
 def mixing_fraction(pg: PlantedGraph) -> float:

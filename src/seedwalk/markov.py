@@ -46,10 +46,14 @@ def build_chain(g: Graph, seeds: Iterable[int]) -> AbsorbingChain:
 
     Raises ReachabilityError listing the offending nodes otherwise.
     seeds = all nodes is a valid degenerate chain with no transient node.
+    This is the one place seed ids are sorted and deduplicated; an empty set
+    or an id outside 0..n-1 raises ValueError.
     """
     seed_arr = np.unique(np.fromiter(seeds, dtype=np.int64))
     if seed_arr.size == 0:
         raise ValueError("seed set is empty")
+    if seed_arr[0] < 0 or seed_arr[-1] >= g.n:
+        raise ValueError("seed id out of range")
     unreachable = check_seed_reachability(g, seed_arr)
     if unreachable.size:
         raise ReachabilityError(unreachable.tolist(), g.labels)

@@ -1,9 +1,9 @@
-"""Seed nodes and their per-community affinity rows."""
+"""Seed nodes as one ascending id array and one sigma x l array of affinity rows."""
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -12,20 +12,24 @@ from .graph import Graph, read_records
 
 
 class SeedSet:
-    """Map of seed node id -> affinity vector over l communities.
+    """Seed node ids and their affinity rows over l communities.
 
-    Every affinity lies in [0, 1]; all vectors have the same length.
+    ids is a strictly ascending 1-D int64 array of node ids; rows is the
+    (len(ids), l) float64 array whose row i holds the affinities of seed
+    ids[i]. Every affinity lies in [0, 1].
     """
 
     __slots__ = ("ids", "rows", "l")
 
-    def __init__(self, entries: Mapping[int, Sequence[float]]):
-        if not entries:
+    def __init__(self, ids: np.ndarray, rows: np.ndarray):
+        ids = np.asarray(ids)
+        rows = np.asarray(rows, dtype=np.float64)
+        if ids.size == 0:
             raise ValueError("seed set is empty")
-        ids = np.array(sorted(entries), dtype=np.int64)
-        rows = np.array([entries[int(i)] for i in ids], dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[1] < 1:
-            raise ValueError("affinity vectors must share a common length l >= 1")
+        if ids.dtype != np.int64 or ids.ndim != 1 or (ids[1:] <= ids[:-1]).any():
+            raise ValueError("seed ids must be a strictly ascending 1-D int64 array")
+        if rows.ndim != 2 or rows.shape[0] != ids.size or rows.shape[1] < 1:
+            raise ValueError("affinity rows must form a (len(ids), l >= 1) array")
         if np.isnan(rows).any() or rows.min() < 0.0 or rows.max() > 1.0:
             raise ValueError("affinities must lie in [0, 1]")
         self.ids = ids
@@ -38,19 +42,6 @@ class SeedSet:
     def __contains__(self, node: int) -> bool:
         i = np.searchsorted(self.ids, node)
         return i < len(self.ids) and self.ids[i] == node
-
-    def items(self) -> Iterable[tuple[int, np.ndarray]]:
-        return zip(self.ids.tolist(), self.rows)
-
-    @classmethod
-    def from_membership(cls, seed_ids: Iterable[int], membership: Sequence[int], l: int) -> "SeedSet":
-        """Indicator affinities: row of seed s is 1 at membership[s], else 0."""
-        entries = {}
-        for s in seed_ids:
-            row = np.zeros(l)
-            row[membership[s]] = 1.0
-            entries[int(s)] = row
-        return cls(entries)
 
 
 def load_seed_file(source: str | Path | IO[str] | Iterable[str], g: Graph) -> SeedSet:
@@ -84,18 +75,21 @@ def load_seed_file(source: str | Path | IO[str] | Iterable[str], g: Graph) -> Se
     if not triples:
         raise ParseError("empty seed file")
     l = max_comm + 1
-    entries: dict[int, np.ndarray] = {}
+    nodes = np.fromiter((node for node, _ in triples), np.int64, len(triples))
+    ids, seed_of = np.unique(nodes, return_inverse=True)
     try:
-        for (node, comm), aff in triples.items():
-            entries.setdefault(node, np.zeros(l))[comm] = aff
-    except (ValueError, MemoryError):  # numpy cannot even allocate a row of l affinities
+        rows = np.zeros((ids.size, l))
+    except (ValueError, MemoryError):  # numpy cannot even allocate the rows for l affinities
         raise ParseError(f"community index {max_comm} is too large") from None
-    return SeedSet(entries)
+    # only now that l fits in memory does every community index fit in int64
+    comms = np.fromiter((comm for _, comm in triples), np.int64, len(triples))
+    rows[seed_of, comms] = np.fromiter(triples.values(), np.float64, len(triples))
+    return SeedSet(ids, rows)
 
 
 def write_seed_file(seeds: SeedSet, g: Graph, stream: IO[str]) -> None:
     """Inverse of load_seed_file; zero affinities are omitted where possible."""
-    for node, row in seeds.items():
+    for node, row in zip(seeds.ids.tolist(), seeds.rows):
         if not row.any():
             # keep the node on record even with an all-zero row
             stream.write(f"{g.labels[node]} 0 0\n")

@@ -67,7 +67,7 @@ def one_seed_per_community(rng: np.random.Generator, n: int, l: int) -> tuple[Gr
     """A random connected graph on n nodes and l seeds, seed i the indicator of community i."""
     g = random_connected_graph(rng, n)
     ids = np.sort(rng.choice(n, size=l, replace=False))
-    return g, SeedSet.from_membership(ids, {int(v): i for i, v in enumerate(ids)}, l)
+    return g, SeedSet(ids, np.eye(l))
 
 
 def dense_absorption_oracle(g: Graph, seed_ids, seed_rows) -> tuple[list[int], np.ndarray]:

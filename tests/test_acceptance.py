@@ -46,7 +46,7 @@ def test_criterion_1_figure_example_exactness(fig_graph, fig_seeds):
 @pytest.mark.parametrize("k", [1, 2, 5, 20, 100])
 def test_criterion_2_gamblers_ruin_closed_form(k):
     g = path_graph(k)
-    seeds = SeedSet({g.id_of("s"): [1.0], g.id_of("t"): [0.0]})
+    seeds = SeedSet([g.id_of("s"), g.id_of("t")], [[1.0], [0.0]])
     expected = np.array([1 - i / (k + 1) for i in range(1, k + 1)])
     aff = detect_multi(g, seeds, tol=1e-10)
     got = np.array([aff.row_for(g.id_of(f"v{i}"))[0] for i in range(1, k + 1)])
@@ -64,9 +64,7 @@ def test_criterion_3_oracle_equivalence():
         sigma = max(2, n // 6)
         ids = np.sort(rng.choice(n, size=sigma, replace=False))
         half = sigma // 2
-        seeds = SeedSet(
-            {int(v): ([1.0, 0.0] if i < half else [0.0, 1.0]) for i, v in enumerate(ids)}
-        )
+        seeds = SeedSet(ids, np.repeat(np.eye(2), [half, sigma - half], axis=0))
         chain = build_chain(g, seeds.ids)
         system = assemble(chain, seeds)
         _, oracle = dense_absorption_oracle(g, seeds.ids, seeds.rows)
@@ -96,14 +94,14 @@ def test_criterion_4_conservation():
         g = random_connected_graph(rng, n)
         ids = np.sort(rng.choice(n, size=max(2, n // 8), replace=False))
         l = 4
-        entries = {}
-        for v in ids:
+        rows = []
+        for _ in ids:
             while True:
                 row = rng.dirichlet(np.ones(l)) * total
                 if row.max() <= 1.0:
                     break
-            entries[int(v)] = row
-        aff = detect_multi(g, SeedSet(entries))
+            rows.append(row)
+        aff = detect_multi(g, SeedSet(ids, rows))
         if aff.rows.size:
             assert np.abs(aff.rows.sum(axis=1) - total).max() <= 1e-6
     _report("4 (conservation)")

@@ -303,7 +303,7 @@ def test_detect_fuzzy_residuals_independent_of_jobs(tmp_path):
     rng = np.random.default_rng(4)
     rows = indicator.rows * rng.uniform(0.3, 1.0, indicator.rows.shape)
     rows[np.arange(len(indicator)), rng.integers(indicator.l, size=len(indicator))] += rng.uniform(0.0, 0.3, len(indicator))
-    seeds = SeedSet({int(v): np.minimum(row, 1.0) for v, row in zip(indicator.ids, rows)})
+    seeds = SeedSet(indicator.ids, np.minimum(rows, 1.0))
     assert -(-seeds.l // BLOCK) == 3  # three blocks, which --jobs 2 regroups into four
     with open(f"{prefix}.seeds", "w", encoding="utf-8") as fh:
         write_seed_file(seeds, pg.graph, fh)

@@ -24,7 +24,7 @@ from conftest import one_seed_per_community, path_graph, random_connected_graph
 
 def test_gamblers_ruin_profile():
     g = path_graph(3)
-    seeds = SeedSet({g.id_of("s"): [1.0], g.id_of("t"): [0.0]})
+    seeds = SeedSet([g.id_of("s"), g.id_of("t")], [[1.0], [0.0]])
     aff = detect_multi(g, seeds)
     assert aff.row_for(g.id_of("v1"))[0] == pytest.approx(0.75, abs=1e-10)
     assert aff.row_for(g.id_of("v2"))[0] == pytest.approx(0.50, abs=1e-10)
@@ -33,7 +33,7 @@ def test_gamblers_ruin_profile():
 
 def test_all_seeds_one_gives_all_ones():
     g = path_graph(4)
-    seeds = SeedSet({g.id_of("s"): [1.0], g.id_of("t"): [1.0]})
+    seeds = SeedSet([g.id_of("s"), g.id_of("t")], [[1.0], [1.0]])
     aff = detect_multi(g, seeds)
     assert np.allclose(aff.rows, 1.0, atol=1e-10)
 
@@ -46,7 +46,7 @@ def test_fig_multi_community(fig_graph, fig_seeds):
 
 
 def test_zero_affinity_column_stays_zero(fig_graph):
-    seeds = SeedSet({fig_graph.id_of("s1"): [1.0, 0.0], fig_graph.id_of("s2"): [0.5, 0.0]})
+    seeds = SeedSet([fig_graph.id_of("s1"), fig_graph.id_of("s2")], [[1.0, 0.0], [0.5, 0.0]])
     aff = detect_multi(fig_graph, seeds)
     assert np.array_equal(aff.rows[:, 1], np.zeros(aff.rows.shape[0]))
 
@@ -57,27 +57,27 @@ def test_conservation(total):
     g = random_connected_graph(rng, 100)
     ids = np.sort(rng.choice(g.n, size=15, replace=False))
     l = 4
-    entries = {}
-    for v in ids:
+    rows = []
+    for _ in ids:
         while True:
             row = rng.dirichlet(np.ones(l)) * total
             if row.max() <= 1.0:
                 break
-        entries[int(v)] = row
-    aff = detect_multi(g, SeedSet(entries))
+        rows.append(row)
+    aff = detect_multi(g, SeedSet(ids, rows))
     sums = aff.rows.sum(axis=1)
     assert np.abs(sums - total).max() <= 1e-6
 
 
 def test_linearity_in_seed_affinities(fig_graph):
-    s1, s2 = fig_graph.id_of("s1"), fig_graph.id_of("s2")
-    beta1 = {s1: [1.0], s2: [0.0]}
-    beta2 = {s1: [0.0], s2: [1.0]}
+    ids = [fig_graph.id_of("s1"), fig_graph.id_of("s2")]
+    beta1 = [[1.0], [0.0]]
+    beta2 = [[0.0], [1.0]]
     alpha, gamma = 0.3, 0.5
-    combo = {s1: [alpha * 1.0], s2: [gamma * 1.0]}
-    a1 = detect_multi(fig_graph, SeedSet(beta1)).rows
-    a2 = detect_multi(fig_graph, SeedSet(beta2)).rows
-    ac = detect_multi(fig_graph, SeedSet(combo)).rows
+    combo = [[alpha * 1.0], [gamma * 1.0]]
+    a1 = detect_multi(fig_graph, SeedSet(ids, beta1)).rows
+    a2 = detect_multi(fig_graph, SeedSet(ids, beta2)).rows
+    ac = detect_multi(fig_graph, SeedSet(ids, combo)).rows
     assert np.abs(ac - (alpha * a1 + gamma * a2)).max() <= 1e-6
 
 
@@ -110,7 +110,7 @@ def test_crisp_argmax_and_ties(fig_graph, fig_seeds):
     rng = np.random.default_rng(71)
     g = random_connected_graph(rng, 80)
     ids = np.sort(rng.choice(g.n, size=12, replace=False))
-    seeds = SeedSet({int(v): rng.random(4) for v in ids})
+    seeds = SeedSet(ids, rng.random((ids.size, 4)))
     for aff, given in ((aff, fig_seeds), (detect_multi(g, seeds), seeds)):
         crisp = assign_crisp(aff)
         assert isinstance(crisp, np.ndarray) and crisp.dtype == np.int64 and crisp.shape == (aff.n,)
@@ -124,7 +124,7 @@ def test_values_are_node_ordered(fig_graph):
     rng = np.random.default_rng(73)
     for g in (fig_graph, random_connected_graph(rng, 90)):
         ids = np.sort(rng.choice(g.n, size=3, replace=False))
-        seeds = SeedSet({int(v): rng.random(3) for v in ids})
+        seeds = SeedSet(ids, rng.random((ids.size, 3)))
         aff = detect_multi(g, seeds)
         assert aff.values.shape == (g.n, 3) and aff.values.dtype == np.float64 and aff.values.flags.c_contiguous
         assert (aff.n, aff.l) == (g.n, 3)
@@ -137,30 +137,29 @@ def test_values_are_node_ordered(fig_graph):
 
 
 def test_crisp_single_community(fig_graph):
-    seeds = SeedSet({fig_graph.id_of("s1"): [1.0], fig_graph.id_of("s2"): [0.2]})
+    seeds = SeedSet([fig_graph.id_of("s1"), fig_graph.id_of("s2")], [[1.0], [0.2]])
     crisp = assign_crisp(detect_multi(fig_graph, seeds))
     assert set(crisp.tolist()) == {0}
 
 
 def test_argmax_invariant_under_scaling(fig_graph):
-    s1, s2 = fig_graph.id_of("s1"), fig_graph.id_of("s2")
-    base = {s1: [1.0, 0.2], s2: [0.1, 0.9]}
-    scaled = {k: [0.5 * x for x in v] for k, v in base.items()}
-    c1 = assign_crisp(detect_multi(fig_graph, SeedSet(base)))
-    c2 = assign_crisp(detect_multi(fig_graph, SeedSet(scaled)))
+    ids = [fig_graph.id_of("s1"), fig_graph.id_of("s2")]
+    base = np.array([[1.0, 0.2], [0.1, 0.9]])
+    c1 = assign_crisp(detect_multi(fig_graph, SeedSet(ids, base)))
+    c2 = assign_crisp(detect_multi(fig_graph, SeedSet(ids, 0.5 * base)))
     assert np.array_equal(c1, c2)
 
 
 def test_reachability_failure_raises():
     g = load_edge_list(io.StringIO("a b\nc d\n"))
-    seeds = SeedSet({g.id_of("a"): [1.0]})
+    seeds = SeedSet([g.id_of("a")], [[1.0]])
     with pytest.raises(ReachabilityError):
         detect_multi(g, seeds)
 
 
 def test_all_nodes_seeds_degenerate():
     g = path_graph(1)
-    seeds = SeedSet({v: [1.0, 0.0] if v % 2 else [0.0, 1.0] for v in range(g.n)})
+    seeds = SeedSet(np.arange(g.n), [[1.0, 0.0] if v % 2 else [0.0, 1.0] for v in range(g.n)])
     aff = detect_multi(g, seeds)
     assert aff.rows.shape == (0, 2)
     assert aff.reports == [SolveReport(0, 0.0, True)] * 2
@@ -175,7 +174,7 @@ def test_iteration_budget_exhaustion_raises():
     rng = np.random.default_rng(55)
     g = random_connected_graph(rng, 200)
     ids = np.sort(rng.choice(g.n, size=10, replace=False))
-    seeds = SeedSet({int(v): [1.0] for v in ids})
+    seeds = SeedSet(ids, np.ones((ids.size, 1)))
     with pytest.raises(ConvergenceError) as exc:
         detect_multi(g, seeds, max_iter=1)
     # worker processes send it back pickled
@@ -189,7 +188,7 @@ def test_affinity_entries_near_unit_interval():
         g = random_connected_graph(rng, 120)
         ids = np.sort(rng.choice(g.n, size=18, replace=False))
         rows = rng.random((ids.size, 3))
-        seeds = SeedSet({int(v): rows[i] for i, v in enumerate(ids)})
+        seeds = SeedSet(ids, rows)
         aff = detect_multi(g, seeds)
         assert aff.rows.min() >= -1e-6
         assert aff.rows.max() <= 1.0 + 1e-6
@@ -200,8 +199,7 @@ def test_solver_walker_agreement():
     g = random_connected_graph(rng, 150)
     ids = np.sort(rng.choice(g.n, size=25, replace=False))
     half = ids.size // 2
-    entries = {int(v): [1.0, 0.0] if i < half else [0.0, 1.0] for i, v in enumerate(ids)}
-    seeds = SeedSet(entries)
+    seeds = SeedSet(ids, np.repeat(np.eye(2), [half, ids.size - half], axis=0))
     aff = detect_multi(g, seeds)
     chain = build_chain(g, seeds.ids)
     for v in chain.transient[rng.choice(chain.transient.size, size=3, replace=False)]:

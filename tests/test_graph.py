@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,24 +128,18 @@ def test_from_edges_rejects_self_loop():
 
 def test_reachability_connected():
     g = load_edge_list(io.StringIO("a b\nb c\nc d\n"))
-    assert check_seed_reachability(g, {0}).size == 0
+    assert check_seed_reachability(g, np.array([0])).size == 0
 
 
 def test_reachability_two_components():
     g = load_edge_list(io.StringIO("a b\nc d\n"))
-    unreachable = check_seed_reachability(g, {g.id_of("a")})
+    unreachable = check_seed_reachability(g, np.array([g.id_of("a")]))
     assert sorted(unreachable.tolist()) == [g.id_of("c"), g.id_of("d")]
 
 
 def test_reachability_isolated_node():
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
-    assert check_seed_reachability(g, {0}).tolist() == [3]
-
-
-def test_reachability_empty_seeds():
-    g = load_edge_list(io.StringIO("a b\n"))
-    with pytest.raises(ValueError, match="empty"):
-        check_seed_reachability(g, set())
+    assert check_seed_reachability(g, np.array([0])).tolist() == [3]
 
 
 def test_round_trip_preserves_adjacency():
@@ -179,7 +174,7 @@ def test_seed_file_sparse_community_indices():
     g = load_edge_list(io.StringIO("a b\nb c\n"))
     s = load_seed_file(io.StringIO("a 0 1\nc 2 0.5\n"), g)
     assert s.l == 3
-    row = {int(v): r.tolist() for v, r in s.items()}
+    row = dict(zip(s.ids.tolist(), s.rows.tolist()))
     assert row[g.id_of("a")] == [1.0, 0.0, 0.0]
     assert row[g.id_of("c")] == [0.0, 0.0, 0.5]
 
@@ -188,18 +183,63 @@ def test_seed_file_errors():
     from seedwalk import load_seed_file
 
     g = load_edge_list(io.StringIO("a b\n"))
-    with pytest.raises(ParseError, match="not in graph"):
+    with pytest.raises(ParseError, match="^line 1: node 'zz' not in graph$"):
         load_seed_file(io.StringIO("zz 0 1\n"), g)
-    with pytest.raises(ParseError, match="outside"):
+    with pytest.raises(ParseError, match=r"^line 1: affinity 1.5 outside \[0, 1\]$"):
         load_seed_file(io.StringIO("a 0 1.5\n"), g)
-    with pytest.raises(ParseError, match="duplicate"):
+    with pytest.raises(ParseError, match="^line 2: duplicate entry for node 'a', community 0$"):
         load_seed_file(io.StringIO("a 0 1\na 0 0.5\n"), g)
-    with pytest.raises(ParseError, match="empty"):
+    # the first bad line wins: the duplicate on line 2, not the affinity on line 3
+    with pytest.raises(ParseError, match="^line 2: duplicate entry for node 'a', community 0$"):
+        load_seed_file(io.StringIO("a 0 1\na 0 0.5\nb 0 2\n"), g)
+    with pytest.raises(ParseError, match="^empty seed file$"):
         load_seed_file(io.StringIO("# nothing\n"), g)
-    # an index numpy cannot size a row for was a ValueError or MemoryError
+    # an index numpy cannot size the rows for was a ValueError or MemoryError
     for index in (str(10**18), str(10**30)):
-        with pytest.raises(ParseError, match="too large"):
+        with pytest.raises(ParseError, match=f"^community index {index} is too large$"):
             load_seed_file(io.StringIO(f"a {index} 1\n"), g)
+
+
+def test_seed_file_holds_little_beside_its_rows():
+    # the parser scatters every line into one sigma x l array, so its peak is
+    # those rows plus per-line records and SeedSet's NaN mask, never a second
+    # copy of the rows
+    from seedwalk import load_seed_file
+
+    k = 3000
+    g = Graph.from_edges(k, [(v, v + 1) for v in range(k - 1)])
+    text = "".join(f"{v} {v} 1\n" for v in range(k))
+    tracemalloc.start()
+    try:
+        seeds = load_seed_file(io.StringIO(text), g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seeds.rows.shape == (k, k)
+    assert np.array_equal(seeds.rows, np.eye(k))
+    assert peak <= 1.25 * seeds.rows.nbytes
+
+
+def test_seed_set_contract():
+    from seedwalk import SeedSet
+
+    rows = np.array([[1.0, 0.0], [0.5, 0.5]])
+    seeds = SeedSet(np.array([1, 4]), rows)
+    assert (len(seeds), seeds.l) == (2, 2)
+    assert 4 in seeds and 2 not in seeds
+    assert seeds.rows is rows  # a float64 array is taken as it is, not copied
+    bad = [
+        ([4, 1], rows),  # unsorted
+        ([1, 1], rows),  # duplicate
+        ([1, 4, 5], rows),  # one row short
+        ([], np.zeros((0, 2))),  # empty
+        ([1, 4], np.zeros((2, 0))),  # no community
+        ([1, 4], [[1.0, 0.0], [0.5, 1.5]]),  # affinity above 1
+        ([1, 4], [[1.0, 0.0], [0.5, np.nan]]),
+    ]
+    for ids, r in bad:
+        with pytest.raises(ValueError):
+            SeedSet(np.array(ids, dtype=np.int64), r)
 
 
 def _edge_set(g):
@@ -228,7 +268,8 @@ def test_seed_file_round_trip(case, data):
     l = data.draw(st.integers(1, 4))
     value = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
     rows = data.draw(st.lists(st.lists(value, min_size=l, max_size=l), min_size=len(ids), max_size=len(ids)))
-    seeds = SeedSet(dict(zip(ids, rows)))
+    order = np.argsort(ids)
+    seeds = SeedSet(np.array(ids)[order], np.array(rows)[order])
     buf = io.StringIO()
     write_seed_file(seeds, g, buf)
     loaded = load_seed_file(io.StringIO(buf.getvalue()), g)

@@ -358,7 +358,7 @@ def test_sample_seeds_all_nodes():
     seeds, uncovered = sample_seeds(pg, 1.0, np.random.default_rng(0))
     assert len(seeds) == 300
     assert uncovered == []
-    for v, row in seeds.items():
+    for v, row in zip(seeds.ids, seeds.rows):
         assert row[pg.membership[v]] == 1.0
         assert row.sum() == 1.0
 
@@ -368,7 +368,7 @@ def test_sample_seeds_count_and_indicators():
     seeds, _ = sample_seeds(pg, 0.1, np.random.default_rng(1))
     assert len(seeds) == 50
     assert seeds.l == pg.n_communities
-    for v, row in seeds.items():
+    for v, row in zip(seeds.ids, seeds.rows):
         assert row[pg.membership[v]] == 1.0
 
 

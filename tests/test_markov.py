@@ -92,6 +92,8 @@ def test_empty_seed_set_rejected():
     g = path_graph(1)
     with pytest.raises(ValueError, match="empty"):
         build_chain(g, set())
+    with pytest.raises(ValueError, match="out of range"):
+        build_chain(g, {0, g.n})
 
 
 def _dense_q(chain):

@@ -16,7 +16,7 @@ from conftest import dense_absorption_oracle, one_seed_per_community, path_graph
 
 def _path_system(k=3, beta_s=1.0, beta_t=0.0):
     g = path_graph(k)
-    seeds = SeedSet({g.id_of("s"): [beta_s], g.id_of("t"): [beta_t]})
+    seeds = SeedSet([g.id_of("s"), g.id_of("t")], [[beta_s], [beta_t]])
     chain = build_chain(g, seeds.ids)
     return g, chain, assemble(chain, seeds)
 
@@ -35,7 +35,7 @@ def test_assemble_path_by_hand():
 def test_rhs_sums_seed_neighbor_affinities():
     # star: v adjacent to seeds s1 (affinity 1) and s2 (affinity 0.5), plus w
     g = load_edge_list(io.StringIO("v s1\nv s2\nv w\n"))
-    seeds = SeedSet({g.id_of("s1"): [1.0], g.id_of("s2"): [0.5]})
+    seeds = SeedSet([g.id_of("s1"), g.id_of("s2")], [[1.0], [0.5]])
     chain = build_chain(g, seeds.ids)
     system = assemble(chain, seeds)
     rhs = {int(chain.transient[i]): system.rhs[i, 0] for i in range(system.dim)}
@@ -50,7 +50,7 @@ def test_sparse_rhs_is_the_dense_product_bitwise():
     g = random_connected_graph(rng, 400)
     ids = np.sort(rng.choice(g.n, size=60, replace=False))
     rows = rng.random((ids.size, 40)) * (rng.random((ids.size, 40)) < 0.3)
-    seeds = SeedSet({int(v): rows[i] for i, v in enumerate(ids)})
+    seeds = SeedSet(ids, rows)
     chain = build_chain(g, seeds.ids)
     system = assemble(chain, seeds)
     adjacency = scipy.sparse.csr_matrix((np.ones(g.targets.size), g.targets, g.offsets), shape=(g.n, g.n))
@@ -76,7 +76,7 @@ def test_assemble_memory_stays_below_a_dense_rhs():
 def test_assemble_rejects_mismatched_seed_ids():
     g = path_graph(2)
     chain = build_chain(g, {g.id_of("s"), g.id_of("t")})
-    wrong = SeedSet({g.id_of("s"): [1.0], g.id_of("v1"): [0.0]})
+    wrong = SeedSet([g.id_of("s"), g.id_of("v1")], [[1.0], [0.0]])
     with pytest.raises(ValueError, match="seed ids"):
         assemble(chain, wrong)
 
@@ -105,7 +105,7 @@ def test_direct_fig_pair(fig_graph, fig_seeds):
 
 def test_constant_seed_affinity_extends_as_ones():
     g, chain, _ = _path_system()
-    seeds = SeedSet({g.id_of("s"): [1.0], g.id_of("t"): [1.0]})
+    seeds = SeedSet([g.id_of("s"), g.id_of("t")], [[1.0], [1.0]])
     system = assemble(chain, seeds)
     assert np.allclose(_solve_exact(system, 0), 1.0, atol=1e-12)
 
@@ -117,7 +117,7 @@ def test_iterative_matches_direct_on_random_graphs():
         sigma = max(2, g.n // 8)
         ids = np.sort(rng.choice(g.n, size=sigma, replace=False))
         rows = rng.random((sigma, 2))
-        seeds = SeedSet({int(v): rows[i] for i, v in enumerate(ids)})
+        seeds = SeedSet(ids, rows)
         chain = build_chain(g, seeds.ids)
         system = assemble(chain, seeds)
         _, oracle = dense_absorption_oracle(g, seeds.ids, seeds.rows)
@@ -134,7 +134,7 @@ def _multi_block_system():
     ids = np.sort(rng.choice(g.n, size=30, replace=False))
     rows = rng.random((ids.size, 2 * BLOCK + 7))
     rows[:, BLOCK - 1] = 0.0
-    seeds = SeedSet({int(v): rows[i] for i, v in enumerate(ids)})
+    seeds = SeedSet(ids, rows)
     return assemble(build_chain(g, seeds.ids), seeds)
 
 
@@ -174,7 +174,7 @@ def test_columns_leaving_a_block_early_keep_the_others_bitwise(n):
     edges = [(u, int(w)) for u in range(n) for w in core.neighbors(u) if u < w]
     edges += [(v, int(s)) for v in pendants for s in rng.choice(seed_ids, size=2, replace=False)]
     g = Graph.from_edges(n + BLOCK // 2, edges)
-    seeds = SeedSet({int(v): [1.0] for v in seed_ids})
+    seeds = SeedSet(np.sort(seed_ids), np.ones((seed_ids.size, 1)))
     chain = build_chain(g, seeds.ids)
     system = assemble(chain, seeds)
     rhs = np.zeros((system.dim, BLOCK))
@@ -202,7 +202,7 @@ def test_multi_block_solve_properties(seed, n, stochastic):
     rows = rng.random((ids.size, BLOCK + 5))
     if stochastic:
         rows /= rows.sum(axis=1, keepdims=True)
-    seeds = SeedSet({int(v): rows[i] for i, v in enumerate(ids)})
+    seeds = SeedSet(ids, rows)
     system = assemble(build_chain(g, seeds.ids), seeds)
     X, reports = solve_iterative_all(system, tol=1e-12)
     for j in range(system.communities):
@@ -218,7 +218,7 @@ def test_multi_block_solve_properties(seed, n, stochastic):
 
 def test_zero_rhs_short_circuits():
     g, chain, _ = _path_system()
-    seeds = SeedSet({g.id_of("s"): [0.0], g.id_of("t"): [0.0]})
+    seeds = SeedSet([g.id_of("s"), g.id_of("t")], [[0.0], [0.0]])
     system = assemble(chain, seeds)
     x, (report,) = solve_iterative_all(system)
     assert np.array_equal(x, np.zeros((3, 1)))
@@ -230,7 +230,7 @@ def test_rhs_whose_norm_underflows_short_circuits_like_zero():
     # an affinity of 1e-200 is stored in b, but its square, and so ||b||, is
     # 0: the column is skipped as a zero one, not divided by a zero norm
     g, chain, _ = _path_system()
-    seeds = SeedSet({g.id_of("s"): [1e-200], g.id_of("t"): [0.0]})
+    seeds = SeedSet([g.id_of("s"), g.id_of("t")], [[1e-200], [0.0]])
     x, (report,) = solve_iterative_all(assemble(chain, seeds))
     assert np.array_equal(x, np.zeros((3, 1)))
     assert report == SolveReport(0, 0.0, True)
@@ -256,7 +256,7 @@ def test_assembled_systems_are_sdd():
     for _ in range(5):
         g = random_connected_graph(rng, 60)
         ids = np.sort(rng.choice(g.n, size=10, replace=False))
-        seeds = SeedSet({int(v): [1.0] for v in ids})
+        seeds = SeedSet(ids, np.ones((ids.size, 1)))
         system = assemble(build_chain(g, seeds.ids), seeds)
         L = system.matrix()
         assert (L != L.T).nnz == 0
@@ -272,7 +272,7 @@ def test_maximum_principle():
     g = random_connected_graph(rng, 120)
     ids = np.sort(rng.choice(g.n, size=20, replace=False))
     lo, hi = 0.3, 0.7
-    seeds = SeedSet({int(v): [lo + (hi - lo) * rng.random()] for v in ids})
+    seeds = SeedSet(ids, lo + (hi - lo) * rng.random((ids.size, 1)))
     system = assemble(build_chain(g, seeds.ids), seeds)
     x = _solve_exact(system, 0)
     assert x.min() >= lo - 1e-9
@@ -284,7 +284,7 @@ def test_solution_matches_dense_oracle():
     g = random_connected_graph(rng, 90)
     ids = np.sort(rng.choice(g.n, size=12, replace=False))
     rows = rng.random((ids.size, 3))
-    seeds = SeedSet({int(v): rows[i] for i, v in enumerate(ids)})
+    seeds = SeedSet(ids, rows)
     chain = build_chain(g, seeds.ids)
     system = assemble(chain, seeds)
     x, reports = solve_iterative_all(system, tol=1e-12)

@@ -66,7 +66,7 @@ def test_step_cap_tripwire():
 
 def test_estimate_from_counts():
     seed_ids = np.array([0, 4])
-    seeds = SeedSet({0: [1.0, 0.0], 4: [0.0, 1.0]})
+    seeds = SeedSet([0, 4], [[1.0, 0.0], [0.0, 1.0]])
     stats = WalkStats(start=2, seed_ids=seed_ids, counts=np.array([500, 500]), walks=1000)
     assert estimate_affinity(stats, seeds, 0) == pytest.approx(0.5)
     all_to_first = WalkStats(start=2, seed_ids=seed_ids, counts=np.array([1000, 0]), walks=1000)
@@ -83,7 +83,7 @@ def test_estimate_matches_fig_values(fig_graph, fig_seeds):
 def test_walker_converges_to_solver_value():
     # 4 sqrt(p(1-p)/walks) band around the exact gambler's-ruin value
     g = path_graph(3)
-    seeds = SeedSet({g.id_of("s"): [1.0], g.id_of("t"): [0.0]})
+    seeds = SeedSet([g.id_of("s"), g.id_of("t")], [[1.0], [0.0]])
     chain = build_chain(g, seeds.ids)
     stats = run_walks(chain, g.id_of("v1"), walks=100_000, rng_seed=31)
     est = estimate_affinity(stats, seeds, 0)
