@@ -113,6 +113,6 @@ def _format_rows(aff: AffinityMatrix, labels, start: int) -> str:
 
 
 def write_crisp_csv(aff: AffinityMatrix, g: Graph, stream: IO[str]) -> None:
+    cells = zip(map(_csv_field, g.labels), assign_crisp(aff).tolist())
     stream.write("node,community\n")
-    for label, c in zip(map(_csv_field, g.labels), assign_crisp(aff).tolist()):
-        stream.write(f"{label},{c}\n")
+    stream.write("".join([f"{label},{c}\n" for label, c in cells]))

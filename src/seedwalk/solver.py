@@ -18,18 +18,25 @@ Every column comes out bit-identical to a solve of it alone, because every
 per-column sum runs row by row: the working arrays stay C-ordered and a lone
 column is summed explicitly (see _coldot). So blocks may group columns
 any way and run in any process: the result does not depend on `jobs`.
+
+scipy is imported by assemble, at the first solve, and by any process that
+unpickles a system: commands that never solve (generate, --help, input
+errors) never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
 
 from .markov import AbsorbingChain
 from .pool import pool_map
 from .seeds import SeedSet
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 DEFAULT_TOL = 1e-8
 # the widest block of right-hand sides solved together, in any process: wide enough
@@ -85,6 +92,8 @@ def assemble(chain: AbsorbingChain, affinities: SeedSet) -> AbsorbingSystem:
     """
     if not np.array_equal(affinities.ids, chain.seeds):
         raise ValueError("seed ids of the affinity set do not match the chain's seeds")
+    import scipy.sparse
+
     g = chain.graph
     adjacency = scipy.sparse.csr_matrix((np.ones(g.targets.size), g.targets, g.offsets), shape=(g.n, g.n))
     rows = adjacency[chain.transient]
@@ -166,7 +175,8 @@ def _pcg(system, B, X, used, cols, tol, max_iter) -> None:
     x = X.take(cols, axis=1)
     r = B.take(cols, axis=1)  # b, until its norm is taken
     bound = tol * _colnorm(r)
-    r -= L @ x
+    if x.any():  # on a block's first pass x is zero, and b - L @ 0 is b bit for bit
+        r -= L @ x
     z = inv_diag[:, None] * r
     p = z.copy()
     rz = _coldot(r, z)

@@ -497,12 +497,31 @@ def test_non_utf8_input_is_parse_error(bad, fig_files, tmp_path, capsys):
     assert "error:" in err and "UTF-8" in err and "Traceback" not in err
 
 
-def test_cli_import_leaves_out_dense_linear_algebra():
+SCIPY_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from seedwalk.cli import main
+loaded = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+report = {"import": loaded()}
+out, edges, seeds = sys.argv[2:]
+argv = ["generate", "--n", "200", "--avg-k", "10", "--mu", "0.2", "--rng-seed", "1", "--out", out]
+report["generate"] = [main(argv), loaded()]
+report["verify"] = [main(["verify", edges, seeds, "--node", "nope", "--walks", "10"]), loaded()]
+print(json.dumps(report))
+"""
+
+
+def test_cli_import_leaves_out_dense_linear_algebra(fig_files, tmp_path):
+    # scipy loads at the first solve: importing the CLI, generating and an
+    # input error never load any of it
     import seedwalk
 
     src = str(Path(seedwalk.__file__).resolve().parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r}); import seedwalk.cli; sys.exit('scipy.linalg' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], check=False).returncode == 0
+    edges, seeds = fig_files
+    argv = [sys.executable, "-c", SCIPY_PROBE, src, str(tmp_path / "gen"), str(edges), str(seeds)]
+    proc = subprocess.run(argv, check=True, capture_output=True, text=True)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"import": [], "generate": [0, []], "verify": [64, []]}
 
 
 PUBLIC_API = [
