@@ -41,8 +41,10 @@ if TYPE_CHECKING:
 DEFAULT_TOL = 1e-8
 # the widest block of right-hand sides solved together, in any process: wide enough
 # to amortize the sparse matvec's pass over the matrix, small enough to bound each
-# process's working memory at O(dim * BLOCK) whatever the number of communities
-BLOCK = 32
+# process's working memory at O(dim * BLOCK) whatever the number of communities.
+# Sparse matvec cost per column at dim 9,000 (2 vCPUs): 0.14 ms at 8 columns,
+# 0.09-0.11 ms at 16, 0.09-0.13 ms at 32; 16 holds half the memory of 32
+BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,9 @@ def solve_iterative_all(
     used, rel = np.zeros(system.communities, dtype=np.int64), np.zeros(system.communities)
     # a sum of squares is zero exactly when every square is, in any order:
     # these are the columns whose dense norm ||b|| is positive
-    live = np.flatnonzero(np.asarray(system.b.power(2).sum(axis=0)).ravel() > 0)
+    b = system.b
+    squares = np.bincount(np.repeat(np.arange(b.shape[1]), np.diff(b.indptr)), b.data * b.data, b.shape[1])
+    live = np.flatnonzero(squares > 0)
     # ceil(live / BLOCK) balanced blocks, rounded up to a multiple of the workers used
     blocks = max(1, -(-live.size // BLOCK))
     jobs = min(max(jobs, 1), blocks)
@@ -145,9 +149,15 @@ def solve_iterative_all(
 
 def _solve_block(system, cols, tol, max_iter) -> tuple:
     """(cols, X, iterations, relative residuals) of the right-hand sides cols."""
-    # C order: CSC densifies to F order by default, and _coldot would then sum
-    # ||b|| pairwise instead of row by row
-    B = system.b[:, cols].toarray(order="C")
+    # C order, or _coldot would sum ||b|| pairwise instead of row by row; b
+    # holds no duplicate or zero entries (assemble's product sums the one and
+    # drops the other), so placing its entries is what densifying would add
+    b = system.b
+    counts = b.indptr[cols + 1] - b.indptr[cols]
+    # where the block's entries sit in b.data, column after column
+    at = np.arange(counts.sum()) + np.repeat(b.indptr[cols] - (np.cumsum(counts) - counts), counts)
+    B = np.zeros((system.dim, cols.size))
+    B[b.indices[at], np.repeat(np.arange(cols.size), counts)] = b.data[at]
     bnorm = _colnorm(B)
     X, used, rel = np.zeros_like(B), np.zeros(cols.size, dtype=np.int64), np.zeros(cols.size)
     pending = np.arange(cols.size)
@@ -168,18 +178,19 @@ def _pcg(system, B, X, used, cols, tol, max_iter) -> None:
     Updates X and the iteration counts in used in place. A column leaves
     the working set, before the next matvec, once its recursive residual
     norm is at most tol * ||b||, its budget max_iter is spent, or its
-    curvature p'Ap is not positive.
+    curvature p'Ap is not positive. Besides the matvec, an iteration
+    allocates nothing block-sized: alpha p, alpha Ap and D^-1 r are each
+    written into Ap, whose product is no longer needed by then.
     """
     L = system.matrix()
-    inv_diag = 1.0 / system.diag
+    inv_diag = (1.0 / system.diag)[:, None]
     x = X.take(cols, axis=1)
     r = B.take(cols, axis=1)  # b, until its norm is taken
     bound = tol * _colnorm(r)
     if x.any():  # on a block's first pass x is zero, and b - L @ 0 is b bit for bit
         r -= L @ x
-    z = inv_diag[:, None] * r
-    p = z.copy()
-    rz = _coldot(r, z)
+    p = inv_diag * r
+    rz = _coldot(r, p)
     rn = _colnorm(r)
     pAp = np.full(cols.size, np.inf)  # no curvature measured yet
     while True:
@@ -191,22 +202,26 @@ def _pcg(system, B, X, used, cols, tol, max_iter) -> None:
                 return
             # compress keeps C order; boolean column indexing would return
             # F-ordered arrays, whose columns einsum sums pairwise instead of
-            # row by row, so a column's bits would depend on its neighbours
-            cols = cols[keep]
-            x, r, p, rz, bound = (np.compress(keep, a, axis=-1) for a in (x, r, p, rz, bound))
+            # row by row, so a column's bits would depend on its neighbours.
+            # One at a time, so only one old array is held beside its copy
+            cols, rz, bound = cols[keep], rz[keep], bound[keep]
+            x = np.compress(keep, x, axis=1)
+            r = np.compress(keep, r, axis=1)
+            p = np.compress(keep, p, axis=1)
         Ap = L @ p
         pAp = _coldot(p, Ap)
         alpha = np.divide(rz, pAp, out=np.zeros_like(pAp), where=pAp > 0.0)
-        x += alpha * p
-        r -= alpha * Ap
+        r -= np.multiply(alpha, Ap, out=Ap)
+        x += np.multiply(alpha, p, out=Ap)
         used[cols] += 1
         rn = _colnorm(r)
-        z = inv_diag[:, None] * r
+        z = np.multiply(inv_diag, r, out=Ap)
         rz_new = _coldot(r, z)
         beta = np.divide(rz_new, rz, out=np.zeros_like(rz), where=rz > 0.0)
         p *= beta
         p += z
         rz = rz_new
+        del Ap, z  # so the next matvec and compress hold no stale block
 
 
 def _coldot(A, B) -> np.ndarray:

@@ -304,7 +304,8 @@ def test_detect_fuzzy_residuals_independent_of_jobs(tmp_path):
     rows = indicator.rows * rng.uniform(0.3, 1.0, indicator.rows.shape)
     rows[np.arange(len(indicator)), rng.integers(indicator.l, size=len(indicator))] += rng.uniform(0.0, 0.3, len(indicator))
     seeds = SeedSet(indicator.ids, np.minimum(rows, 1.0))
-    assert -(-seeds.l // BLOCK) == 3  # three blocks, which --jobs 2 regroups into four
+    blocks = -(-seeds.l // BLOCK)
+    assert blocks % 2 == 1 and blocks % 3 != 0  # an odd count, which --jobs 2 and --jobs 3 both regroup
     with open(f"{prefix}.seeds", "w", encoding="utf-8") as fh:
         write_seed_file(seeds, pg.graph, fh)
     manifests = []

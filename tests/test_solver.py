@@ -8,7 +8,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seedwalk import Graph, SeedSet, build_chain, load_edge_list
+from seedwalk import Graph, SeedSet, build_chain, load_edge_list, solver
 from seedwalk.solver import BLOCK, SolveReport, assemble, solve_iterative_all
 
 from conftest import dense_absorption_oracle, one_seed_per_community, path_graph, random_connected_graph
@@ -159,6 +159,43 @@ def test_solve_is_bitwise_independent_of_jobs(jobs):
     X_jobs, reports_jobs = solve_iterative_all(system, jobs=jobs)
     assert np.array_equal(X_jobs, X)
     assert reports_jobs == reports
+
+
+def test_solve_is_bitwise_independent_of_block_width(monkeypatch):
+    # the block width only groups columns, so any width gives the same bytes
+    # and reports: 41 live fuzzy columns make 6, 3 and 2 blocks
+    rng = np.random.default_rng(37)
+    g = random_connected_graph(rng, 400)
+    ids = np.sort(rng.choice(g.n, size=40, replace=False))
+    seeds = SeedSet(ids, rng.random((ids.size, 41)))
+    system = assemble(build_chain(g, seeds.ids), seeds)
+    results = []
+    for width in (7, 16, 32):
+        monkeypatch.setattr(solver, "BLOCK", width)
+        results.append(solve_iterative_all(system))
+    for X, reports in results[1:]:
+        assert X.tobytes() == results[0][0].tobytes()
+        assert reports == results[0][1]
+
+
+def test_one_block_holds_few_block_sized_arrays():
+    # B, X and the PCG vectors, with no temporaries for alpha p, alpha Ap or
+    # D^-1 r and one array at a time while the working set compresses
+    rng = np.random.default_rng(43)
+    g = random_connected_graph(rng, 2000)
+    ids = np.sort(rng.choice(g.n, size=200, replace=False))
+    # sparse fuzzy rows, so columns converge at different iterations
+    seeds = SeedSet(ids, rng.random((ids.size, 16)) * (rng.random((ids.size, 16)) < 0.05))
+    system = assemble(build_chain(g, seeds.ids), seeds)
+    cols = np.arange(16)
+    tracemalloc.start()
+    try:
+        _, _, used, _ = solver._solve_block(system, cols, 1e-8, 10**4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert used.min() > 1 and used.max() > used.min()  # several iterations, and compressions
+    assert peak <= 8.25 * system.dim * 16 * 8
 
 
 @pytest.mark.parametrize("n", [300, 1000, 3000])
