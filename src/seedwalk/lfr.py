@@ -456,22 +456,20 @@ def sample_seeds(pg: PlantedGraph, sigma: float, rng: np.random.Generator) -> tu
     ncomm = pg.n_communities
     # a truth file may skip a community index: no seed can cover that empty community
     populated = np.asarray(pg.sizes) > 0
-    best_ids = None
+    best_ids = best_uncovered = None
     best_missing = ncomm + 1
     for _ in range(50):
         ids = rng.choice(n, size=count, replace=False)
-        missing = int(populated.sum()) - np.unique(pg.membership[ids]).size
+        uncovered = populated & (np.bincount(pg.membership[ids], minlength=ncomm) == 0)
+        missing = int(uncovered.sum())
         if missing < best_missing:
-            best_ids, best_missing = ids, missing
+            best_ids, best_uncovered, best_missing = ids, uncovered, missing
         if missing == 0:
             break
-    covered = np.zeros(ncomm, dtype=bool)
-    covered[pg.membership[best_ids]] = True
-    uncovered = np.flatnonzero(populated & ~covered).tolist()
     ids = np.sort(best_ids)
     rows = np.zeros((count, ncomm))
     rows[np.arange(count), pg.membership[ids]] = 1.0
-    return SeedSet(ids, rows), uncovered
+    return SeedSet(ids, rows), np.flatnonzero(best_uncovered).tolist()
 
 
 def mixing_fraction(pg: PlantedGraph) -> float:

@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ReachabilityError
-from .graph import Graph, check_seed_reachability
+from .graph import Graph, check_seed_reachability, unique_sorted
 
 
 class AbsorbingChain:
@@ -49,7 +49,7 @@ def build_chain(g: Graph, seeds: Iterable[int]) -> AbsorbingChain:
     This is the one place seed ids are sorted and deduplicated; an empty set
     or an id outside 0..n-1 raises ValueError.
     """
-    seed_arr = np.unique(np.fromiter(seeds, dtype=np.int64))
+    seed_arr = unique_sorted(np.fromiter(seeds, dtype=np.int64))
     if seed_arr.size == 0:
         raise ValueError("seed set is empty")
     if seed_arr[0] < 0 or seed_arr[-1] >= g.n:

@@ -19,18 +19,22 @@ per-column sum runs row by row: the working arrays stay C-ordered and a lone
 column is summed explicitly (see _coldot). So blocks may group columns
 any way and run in any process: the result does not depend on `jobs`.
 
-scipy is imported by assemble, at the first solve, and by any process that
-unpickles a system: commands that never solve (generate, --help, input
-errors) never load it.
+assemble builds both matrices as plain compressed arrays with numpy, straight
+from the graph's offsets and targets. scipy supplies only the sparse product
+inside a solve: it is imported by whichever process runs a solve block, and by
+AbsorbingSystem.matrix(). Commands that never solve (generate, --help, input
+errors) never load it, nor does a `detect` parent whose blocks all run in
+worker processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from .graph import csr_ranges
 from .markov import AbsorbingChain
 from .pool import pool_map
 from .seeds import SeedSet
@@ -56,16 +60,27 @@ class SolveReport:
     converged: bool
 
 
+class Compressed(NamedTuple):
+    """A sparse matrix as its compressed arrays, under scipy's attribute names:
+    by rows (CSR) for D - A_TT, by columns (CSC) for b. Indices ascend within
+    each row (column), and no exact zero is stored."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+
 @dataclass(frozen=True)
 class AbsorbingSystem:
-    """The assembled system: sparse D - A_TT (the transient block of the graph
-    Laplacian), its diagonal D and all l right-hand sides A_TS beta as a
-    sparse dim x l CSC matrix b. A solve densifies at most BLOCK columns of b
-    at a time."""
+    """The assembled system: D - A_TT (the transient block of the graph
+    Laplacian) in CSR arrays, its diagonal D and all l right-hand sides
+    A_TS beta as dim x l CSC arrays b. A solve densifies at most BLOCK
+    columns of b at a time."""
 
-    laplacian: scipy.sparse.csr_matrix
+    laplacian: Compressed
     diag: np.ndarray
-    b: scipy.sparse.csc_matrix
+    b: Compressed
 
     @property
     def dim(self) -> int:
@@ -78,31 +93,72 @@ class AbsorbingSystem:
     @property
     def rhs(self) -> np.ndarray:
         """b as a dense dim x l array: a fresh copy, for residual checks only."""
-        return self.b.toarray()
+        return _densify(self.b, np.arange(self.communities))
 
     def matrix(self) -> scipy.sparse.csr_matrix:
-        """Sparse D - A_TT over the transient subgraph."""
-        return self.laplacian
+        """D - A_TT as a scipy CSR matrix on the laplacian's data and indices (not copied)."""
+        import scipy.sparse
+
+        L = self.laplacian
+        return scipy.sparse.csr_matrix((L.data, L.indices, L.indptr), shape=L.shape)
 
 
 def assemble(chain: AbsorbingChain, affinities: SeedSet) -> AbsorbingSystem:
-    """Slice D - A_TT and the l right-hand sides A_TS beta out of the adjacency.
+    """D - A_TT and the l right-hand sides A_TS beta, from the graph's arrays.
 
-    The SeedSet must cover exactly the chain's seeds. b[v, i] is the sum
-    of beta_i(s) over seed neighbors s of transient node v, added in the
-    same CSR order as a product with the dense rows would add them.
+    The SeedSet must cover exactly the chain's seeds. Row v of D - A_TT holds
+    -1.0 at each transient neighbor of v and v's degree at v's own column, in
+    ascending column order. b[v, i] is the sum of beta_i(s) over the seed
+    neighbors s of transient node v, added from 0.0 in ascending s: the order
+    in which a sparse product A_TS @ beta would add them.
     """
     if not np.array_equal(affinities.ids, chain.seeds):
         raise ValueError("seed ids of the affinity set do not match the chain's seeds")
-    import scipy.sparse
+    g, transient, seeds = chain.graph, chain.transient, chain.seeds
+    dim, l = transient.size, affinities.l
+    # every node's row (and column) in D - A_TT, -1 for the seeds
+    place = np.full(g.n, -1, dtype=np.int32)
+    place[transient] = np.arange(dim)
+    at, degrees = place[g.targets], g.degrees()
+    # the edges of A_TS: each seed's transient neighbours, seed by seed
+    nbr = at[csr_ranges(g.offsets[seeds], degrees[seeds])]
+    edge = nbr >= 0
+    seed, t_row = np.repeat(np.arange(seeds.size), degrees[seeds])[edge], nbr[edge]
 
-    g = chain.graph
-    adjacency = scipy.sparse.csr_matrix((np.ones(g.targets.size), g.targets, g.offsets), shape=(g.n, g.n))
-    rows = adjacency[chain.transient]
-    diag = np.diff(rows.indptr).astype(np.float64)
-    laplacian = (scipy.sparse.diags(diag) - rows[:, chain.transient]).tocsr()
-    b = (rows[:, chain.seeds] @ scipy.sparse.csr_matrix(affinities.rows)).tocsc()
-    return AbsorbingSystem(laplacian, diag, b)
+    # D - A_TT: the transient neighbours of each transient row in CSR order, with
+    # the diagonal placed after those of lower index
+    degree = degrees[transient]
+    per_row = degree - np.bincount(t_row, minlength=dim)
+    col = at[np.repeat(place >= 0, degrees) & (at >= 0)]
+    r = np.repeat(np.arange(dim, dtype=np.int32), per_row)
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(per_row + 1, out=indptr[1:])
+    diagonal = indptr[:-1] + np.bincount(r[col < r], minlength=dim)
+    off = np.ones(indptr[-1], dtype=bool)
+    off[diagonal] = False
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[off] = col
+    indices[diagonal] = np.arange(dim)
+    data = np.full(indptr[-1], -1.0)
+    data[diagonal] = degree
+    laplacian = Compressed(indptr, indices, data, (dim, dim))
+
+    # A_TS beta: one term per A_TS edge and nonzero affinity of its seed, seed by
+    # seed (zero affinities add nothing and are not stored)
+    nonzero = affinities.rows != 0.0
+    per_seed = np.count_nonzero(nonzero, axis=1)
+    counts = per_seed[seed]
+    terms = np.flatnonzero(nonzero)[csr_ranges((np.cumsum(per_seed) - per_seed)[seed], counts)]
+    # a sort-based grouping into column-major entries; bincount adds each
+    # entry's terms in input order, so in ascending seed
+    keys, entry = np.unique(terms % l * dim + np.repeat(t_row, counts), return_inverse=True)
+    b_col, b_row = np.divmod(keys, dim)
+    b_indptr = np.zeros(l + 1, dtype=np.int64)
+    np.cumsum(np.bincount(b_col, minlength=l), out=b_indptr[1:])
+    # (astype: numpy's bincount of no entries is int64 whatever the weights)
+    b_data = np.bincount(entry, affinities.rows.ravel()[terms], keys.size).astype(np.float64, copy=False)
+    b = Compressed(b_indptr, b_row.astype(np.int32), b_data, (dim, l))
+    return AbsorbingSystem(laplacian, degree.astype(np.float64), b)
 
 
 def solve_iterative_all(
@@ -149,15 +205,8 @@ def solve_iterative_all(
 
 def _solve_block(system, cols, tol, max_iter) -> tuple:
     """(cols, X, iterations, relative residuals) of the right-hand sides cols."""
-    # C order, or _coldot would sum ||b|| pairwise instead of row by row; b
-    # holds no duplicate or zero entries (assemble's product sums the one and
-    # drops the other), so placing its entries is what densifying would add
-    b = system.b
-    counts = b.indptr[cols + 1] - b.indptr[cols]
-    # where the block's entries sit in b.data, column after column
-    at = np.arange(counts.sum()) + np.repeat(b.indptr[cols] - (np.cumsum(counts) - counts), counts)
-    B = np.zeros((system.dim, cols.size))
-    B[b.indices[at], np.repeat(np.arange(cols.size), counts)] = b.data[at]
+    L = system.matrix()
+    B = _densify(system.b, cols)
     bnorm = _colnorm(B)
     X, used, rel = np.zeros_like(B), np.zeros(cols.size, dtype=np.int64), np.zeros(cols.size)
     pending = np.arange(cols.size)
@@ -166,14 +215,29 @@ def _solve_block(system, cols, tol, max_iter) -> tuple:
     for _ in range(4):
         if not pending.size:
             break
-        _pcg(system, B, X, used, pending, tol, max_iter)
-        rel[pending] = _colnorm(B.take(pending, axis=1) - system.laplacian @ X.take(pending, axis=1)) / bnorm[pending]
+        _pcg(L, system.diag, B, X, used, pending, tol, max_iter)
+        rel[pending] = _colnorm(B.take(pending, axis=1) - L @ X.take(pending, axis=1)) / bnorm[pending]
         pending = pending[(rel[pending] > tol) & (used[pending] < max_iter)]
     return cols, X, used, rel
 
 
-def _pcg(system, B, X, used, cols, tol, max_iter) -> None:
-    """Jacobi-PCG on the columns cols of B, from their current iterate in X.
+def _densify(b: Compressed, cols: np.ndarray) -> np.ndarray:
+    """The columns cols of the CSC arrays b as a dense C-ordered array.
+
+    C order, or _coldot would sum ||b|| pairwise instead of row by row; b
+    holds no duplicate or zero entries, so placing its entries is all that
+    densifying adds.
+    """
+    counts = b.indptr[cols + 1] - b.indptr[cols]
+    at = csr_ranges(b.indptr[cols], counts)
+    B = np.zeros((b.shape[0], cols.size))
+    B[b.indices[at], np.repeat(np.arange(cols.size), counts)] = b.data[at]
+    return B
+
+
+def _pcg(L, diag, B, X, used, cols, tol, max_iter) -> None:
+    """Jacobi-PCG with matrix L and diagonal diag on the columns cols of B,
+    from their current iterate in X.
 
     Updates X and the iteration counts in used in place. A column leaves
     the working set, before the next matvec, once its recursive residual
@@ -182,8 +246,7 @@ def _pcg(system, B, X, used, cols, tol, max_iter) -> None:
     allocates nothing block-sized: alpha p, alpha Ap and D^-1 r are each
     written into Ap, whose product is no longer needed by then.
     """
-    L = system.matrix()
-    inv_diag = (1.0 / system.diag)[:, None]
+    inv_diag = (1.0 / diag)[:, None]
     x = X.take(cols, axis=1)
     r = B.take(cols, axis=1)  # b, until its norm is taken
     bound = tol * _colnorm(r)

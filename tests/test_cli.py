@@ -504,25 +504,39 @@ sys.path.insert(0, sys.argv[1])
 from seedwalk.cli import main
 loaded = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 report = {"import": loaded()}
-out, edges, seeds = sys.argv[2:]
+out, edges, seeds, wide_edges, wide_seeds = sys.argv[2:]
 argv = ["generate", "--n", "200", "--avg-k", "10", "--mu", "0.2", "--rng-seed", "1", "--out", out]
 report["generate"] = [main(argv), loaded()]
 report["verify"] = [main(["verify", edges, seeds, "--node", "nope", "--walks", "10"]), loaded()]
+report["detect --jobs 2"] = [main(["detect", wide_edges, wide_seeds, "--jobs", "2", "--out", out + "-j2"]), loaded()]
+report["detect --jobs 1"] = [main(["detect", wide_edges, wide_seeds, "--jobs", "1", "--out", out + "-j1"]),
+                             "scipy.sparse" in loaded()]
 print(json.dumps(report))
 """
 
 
 def test_cli_import_leaves_out_dense_linear_algebra(fig_files, tmp_path):
-    # scipy loads at the first solve: importing the CLI, generating and an
-    # input error never load any of it
+    # scipy loads at the first solve block: importing the CLI, generating, an
+    # input error and a pooled detect parent never load any of it
     import seedwalk
 
     src = str(Path(seedwalk.__file__).resolve().parents[1])
     edges, seeds = fig_files
-    argv = [sys.executable, "-c", SCIPY_PROBE, src, str(tmp_path / "gen"), str(edges), str(seeds)]
+    # a ring with chords and fuzzy seeds over 2 * BLOCK + 8 communities: three
+    # solve blocks, so detect --jobs 2 solves every one in a worker
+    n, l = 60, 2 * BLOCK + 8
+    wide_edges, wide_seeds = tmp_path / "wide.edges", tmp_path / "wide.seeds"
+    wide_edges.write_text("".join(f"n{v} n{(v + 1) % n}\nn{v} n{(v + 7) % n}\n" for v in range(n)))
+    wide_seeds.write_text("".join(f"n{20 * (c % 3)} {c} {0.5 + c / 100}\nn{20 * ((c + 1) % 3)} {c} 0.25\n"
+                                  for c in range(l)))
+    argv = [sys.executable, "-c", SCIPY_PROBE, src, str(tmp_path / "gen"), str(edges), str(seeds),
+            str(wide_edges), str(wide_seeds)]
     proc = subprocess.run(argv, check=True, capture_output=True, text=True)
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report == {"import": [], "generate": [0, []], "verify": [64, []]}
+    assert report == {"import": [], "generate": [0, []], "verify": [64, []],
+                      "detect --jobs 2": [0, []], "detect --jobs 1": [0, True]}
+    for name in ("affinity", "crisp"):
+        assert (tmp_path / f"gen-j2.{name}.csv").read_bytes() == (tmp_path / f"gen-j1.{name}.csv").read_bytes()
 
 
 PUBLIC_API = [

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seedwalk import Graph, SeedSet, build_chain, load_edge_list, solver
-from seedwalk.solver import BLOCK, SolveReport, assemble, solve_iterative_all
+from seedwalk.solver import BLOCK, Compressed, SolveReport, assemble, solve_iterative_all
 
 from conftest import dense_absorption_oracle, one_seed_per_community, path_graph, random_connected_graph
 
@@ -21,6 +21,18 @@ def _path_system(k=3, beta_s=1.0, beta_t=0.0):
     return g, chain, assemble(chain, seeds)
 
 
+def _csc(dense) -> Compressed:
+    """A dense array as the CSC arrays that AbsorbingSystem.b holds."""
+    m = scipy.sparse.csc_matrix(dense)
+    return Compressed(m.indptr, m.indices, m.data, m.shape)
+
+
+def _column(b: Compressed, j: int) -> Compressed:
+    """Column j of the CSC arrays b, as a one-column b of its own."""
+    lo, hi = b.indptr[j], b.indptr[j + 1]
+    return Compressed(np.array([0, hi - lo]), b.indices[lo:hi], b.data[lo:hi], (b.shape[0], 1))
+
+
 def test_assemble_path_by_hand():
     g, chain, system = _path_system()
     # transient nodes are v1, v2, v3 in id order; hand-assembled D - A_TT
@@ -28,7 +40,15 @@ def test_assemble_path_by_hand():
     assert system.dim == 3
     assert np.array_equal(system.diag, [2.0, 2.0, 2.0])
     expected = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    L = system.laplacian
+    assert L.shape == (3, 3)
+    assert np.array_equal(L.indptr, [0, 2, 5, 7])
+    assert np.array_equal(L.indices, [0, 1, 0, 1, 2, 1, 2])
+    assert np.array_equal(L.data, expected[expected != 0.0])
     assert np.array_equal(system.matrix().toarray(), expected)
+    b = system.b
+    assert b.shape == (3, 1)
+    assert np.array_equal(b.indptr, [0, 1]) and np.array_equal(b.indices, [0]) and np.array_equal(b.data, [1.0])
     assert np.array_equal(system.rhs[:, 0], [1.0, 0.0, 0.0])
 
 
@@ -44,8 +64,8 @@ def test_rhs_sums_seed_neighbor_affinities():
 
 
 def test_sparse_rhs_is_the_dense_product_bitwise():
-    # fuzzy seed rows, zeros among them: the sparse product adds each row's
-    # terms in the same CSR order as the dense product, and skips only zeros
+    # fuzzy seed rows, zeros among them: b adds each entry's terms in the
+    # same order as the dense product, and stores no zeros
     rng = np.random.default_rng(37)
     g = random_connected_graph(rng, 400)
     ids = np.sort(rng.choice(g.n, size=60, replace=False))
@@ -55,8 +75,68 @@ def test_sparse_rhs_is_the_dense_product_bitwise():
     system = assemble(chain, seeds)
     adjacency = scipy.sparse.csr_matrix((np.ones(g.targets.size), g.targets, g.offsets), shape=(g.n, g.n))
     dense = adjacency[chain.transient][:, chain.seeds] @ seeds.rows
-    assert system.b.format == "csc"
-    assert system.b.toarray().tobytes() == dense.tobytes()
+    b = system.b
+    # column-major, rows strictly ascending within each column
+    assert b.shape == dense.shape and b.indptr.size == b.shape[1] + 1
+    col_of = np.repeat(np.arange(b.shape[1]), np.diff(b.indptr))
+    assert (np.diff(col_of * b.shape[0] + b.indices) > 0).all()
+    assert (b.data != 0.0).all()
+    assert system.rhs.tobytes() == dense.tobytes()
+
+
+def _oracle_assemble(chain, seeds):
+    """D - A_TT, D and b built with scipy.sparse as the package once did:
+    slices of the full adjacency, the diagonal subtracted, b a sparse product."""
+    g = chain.graph
+    adjacency = scipy.sparse.csr_matrix((np.ones(g.targets.size), g.targets, g.offsets), shape=(g.n, g.n))
+    rows = adjacency[chain.transient]
+    diag = np.diff(rows.indptr).astype(np.float64)
+    laplacian = (scipy.sparse.diags(diag) - rows[:, chain.transient]).tocsr()
+    b = (rows[:, chain.seeds] @ scipy.sparse.csr_matrix(seeds.rows)).tocsc()
+    return laplacian, diag, b
+
+
+def _same_bytes(ours: Compressed, theirs) -> bool:
+    # index arrays compared as int64: scipy picks int32 or int64 by size
+    return (ours.shape == theirs.shape
+            and ours.indptr.astype(np.int64).tobytes() == theirs.indptr.astype(np.int64).tobytes()
+            and ours.indices.astype(np.int64).tobytes() == theirs.indices.astype(np.int64).tobytes()
+            and ours.data.dtype == theirs.data.dtype and ours.data.tobytes() == theirs.data.tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.sampled_from(["indicator", "fuzzy"]))
+def test_assemble_equals_the_scipy_construction_bitwise(seed, n, kind):
+    # on a random connected graph with one node whose only neighbours are
+    # seeds and one that borders no seed: the numpy assembly is byte for byte
+    # the scipy one, with indicator seeds or fuzzy rows holding zeros
+    rng = np.random.default_rng(seed)
+    core = random_connected_graph(rng, n)
+    ids = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+    edges = [(u, int(w)) for u in range(n) for w in core.neighbors(u) if u < w]
+    edges += [(n, int(s)) for s in rng.choice(ids, size=min(2, ids.size), replace=False)]
+    edges.append((n + 1, int(rng.choice(np.setdiff1d(np.arange(n), ids)))))
+    g = Graph.from_edges(n + 2, edges)
+    l = int(rng.integers(1, 2 * BLOCK))
+    if kind == "indicator":
+        rows = np.eye(l)[rng.integers(l, size=ids.size)]
+    else:
+        rows = rng.random((ids.size, l)) * (rng.random((ids.size, l)) < 0.5)
+    seeds = SeedSet(ids, rows)
+    chain = build_chain(g, seeds.ids)
+    system = assemble(chain, seeds)
+    laplacian, diag, b = _oracle_assemble(chain, seeds)
+    assert _same_bytes(system.laplacian, laplacian)
+    assert system.laplacian.indices.dtype == np.int32 and system.b.indices.dtype == np.int32
+    assert system.diag.tobytes() == diag.tobytes()
+    assert _same_bytes(system.b, b)
+    # node n borders seeds only, so its row of D - A_TT is the diagonal alone
+    # and its row of b the sum of their rows; node n + 1 borders no seed, so
+    # b stores nothing in its row
+    only_seeds, no_seed = np.searchsorted(chain.transient, [n, n + 1])
+    assert np.diff(system.laplacian.indptr)[only_seeds] == 1
+    assert np.array_equal(system.rhs[only_seeds], rows[np.searchsorted(ids, g.neighbors(n))].sum(axis=0))
+    assert no_seed not in system.b.indices
 
 
 def test_assemble_memory_stays_below_a_dense_rhs():
@@ -144,7 +224,7 @@ def test_blocked_solve_matches_single_columns_bitwise():
     system = _multi_block_system()
     X, reports = solve_iterative_all(system)
     for j in range(system.communities):
-        x, (report,) = solve_iterative_all(dataclasses.replace(system, b=system.b[:, [j]]))
+        x, (report,) = solve_iterative_all(dataclasses.replace(system, b=_column(system.b, j)))
         assert np.array_equal(x[:, 0], X[:, j])
         assert report == reports[j]
     assert reports[BLOCK - 1].iterations == 0
@@ -217,11 +297,11 @@ def test_columns_leaving_a_block_early_keep_the_others_bitwise(n):
     rhs = np.zeros((system.dim, BLOCK))
     rhs[:, 0::2] = rng.random((system.dim, BLOCK // 2))
     rhs[np.searchsorted(chain.transient, list(pendants)), np.arange(1, BLOCK, 2)] = 1.0
-    system = dataclasses.replace(system, b=scipy.sparse.csc_matrix(rhs))
+    system = dataclasses.replace(system, b=_csc(rhs))
     X, reports = solve_iterative_all(system)
     assert all(reports[j].iterations == 1 for j in range(1, BLOCK, 2))
     for j in range(BLOCK):
-        x, (report,) = solve_iterative_all(dataclasses.replace(system, b=system.b[:, [j]]))
+        x, (report,) = solve_iterative_all(dataclasses.replace(system, b=_column(system.b, j)))
         assert np.array_equal(x[:, 0], X[:, j])
         assert report == reports[j]
 
@@ -243,7 +323,7 @@ def test_multi_block_solve_properties(seed, n, stochastic):
     system = assemble(build_chain(g, seeds.ids), seeds)
     X, reports = solve_iterative_all(system, tol=1e-12)
     for j in range(system.communities):
-        x, (report,) = solve_iterative_all(dataclasses.replace(system, b=system.b[:, [j]]), tol=1e-12)
+        x, (report,) = solve_iterative_all(dataclasses.replace(system, b=_column(system.b, j)), tol=1e-12)
         assert np.array_equal(x[:, 0], X[:, j])
         assert report == reports[j]
     assert all(r.converged for r in reports)
