@@ -3,7 +3,9 @@ planted single-membership communities, mixing parameter mu.
 
 Each node keeps a fraction 1-mu of its edges inside its own community
 (internal stub count ceil((1-mu) * k), so mu=0 yields strictly zero
-inter-community edges). Community sizes come from one power-law draw cut
+inter-community edges); a community with an odd internal stub sum sheds one
+stub, which goes external at mu > 0 and is dropped at mu = 0, so the external
+stubs sum to an even number. Community sizes come from one power-law draw cut
 where its running sum reaches n, and must pass a capacity check (one sorted
 comparison); an attempt with an internal degree of s_max or more draws no
 sizes, as no community can host it. Nodes are placed in descending internal
@@ -177,7 +179,7 @@ def generate(params: LfrParams) -> PlantedGraph:
             continue
         member = _assign_membership(sizes, d_int, rng)
         attempts += 1
-        edges, dropped = _wire(params.n, member, len(sizes), degrees, d_int, params.mu, rng)
+        edges, dropped = _wire(member, degrees, d_int, params.mu, rng)
         m_target = int(degrees.sum()) // 2
         # the drops must also leave the mean degree in the draw's 5% band
         if dropped > 0.01 * m_target or 2 * len(edges) < 0.95 * params.avg_k * params.n:
@@ -279,38 +281,35 @@ def _assign_membership(sizes: list[int], d_int: np.ndarray, rng) -> np.ndarray:
     return member
 
 
-def _wire(n, member, ncomm, degrees, d_int_base, mu, rng) -> tuple[np.ndarray, float]:
+def _wire(member, degrees, d_int, mu, rng) -> tuple[np.ndarray, float]:
     """Match the internal stubs inside their communities and the external
     stubs across communities, with one `_match` call each: all internal
     pools at once, grouped by community, then the external pool under the
     cross-community constraint. Each call runs up to 12 shuffle passes and
     16 swap rounds of 16 double-edge swap proposals per colliding pair.
+    The stubs of `degrees` beyond `d_int` are external, as is the stub that a
+    community with an odd internal sum sheds at mu > 0 (at mu = 0 it is
+    dropped); the external stubs sum to an even number.
 
     Returns (edges as an (m, 2) int array, dropped edge-equivalents).
     """
-    d_int = d_int_base.copy()
-    k_eff = degrees.copy()
+    n = member.size
     nodes = np.arange(n, dtype=np.int64)
 
     # per-community stub parity: shed one internal stub from the largest
     # holder (lowest id on ties) of each community with an odd stub sum
-    odd = np.flatnonzero(np.bincount(member, weights=d_int, minlength=ncomm).astype(np.int64) % 2)
+    odd = np.flatnonzero(np.bincount(member, weights=d_int).astype(np.int64) % 2)
     by_comm = np.lexsort((-d_int, member))
     shed = by_comm[np.searchsorted(member[by_comm], odd)]
+    d_int = d_int.copy()
     d_int[shed] -= 1
+    # even: degrees sum to an even number (_even_degree_sum), as do every
+    # community's internal stubs after the shed; zero at mu = 0
+    d_ext = degrees - d_int
     dropped_stubs = 0
     if mu == 0.0:
-        # nothing may leak to the external pool at mu=0
-        k_eff[shed] -= 1
-        dropped_stubs += shed.size
-
-    d_ext = k_eff - d_int
-    if int(d_ext.sum()) % 2:
-        cands = np.flatnonzero(d_ext > 0)
-        v = int(cands[rng.integers(cands.size)])
-        d_ext[v] -= 1
-        k_eff[v] -= 1
-        dropped_stubs += 1
+        d_ext[shed] = 0
+        dropped_stubs = shed.size
 
     # the pools cannot collide: internal edges stay inside one community,
     # external edges cross two

@@ -23,8 +23,8 @@ assemble builds both matrices as plain compressed arrays with numpy, straight
 from the graph's offsets and targets. scipy supplies only the sparse product
 inside a solve: it is imported by whichever process runs a solve block, and by
 AbsorbingSystem.matrix(). Commands that never solve (generate, --help, input
-errors) never load it, nor does a `detect` parent whose blocks all run in
-worker processes.
+errors) never load it, nor does a `detect` whose seed affinities are all zero
+(it runs no block) or whose parent leaves every block to worker processes.
 """
 
 from __future__ import annotations
@@ -193,9 +193,9 @@ def solve_iterative_all(
     squares = np.bincount(np.repeat(np.arange(b.shape[1]), np.diff(b.indptr)), b.data * b.data, b.shape[1])
     live = np.flatnonzero(squares > 0)
     # ceil(live / BLOCK) balanced blocks, rounded up to a multiple of the workers used
-    blocks = max(1, -(-live.size // BLOCK))
+    blocks = -(-live.size // BLOCK)
     jobs = min(max(jobs, 1), blocks)
-    tasks = [(cols, tol, max_iter) for cols in np.array_split(live, -(-blocks // jobs) * jobs)]
+    tasks = [(cols, tol, max_iter) for cols in np.array_split(live, -(-blocks // jobs) * jobs)] if blocks else []
     for cols, x, n, r in pool_map(_solve_block, tasks, jobs, shared=(system,)):
         out[np.ix_(rows, cols)], used[cols], rel[cols] = x, n, r
         del x  # free it before this process solves the next block

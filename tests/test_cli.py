@@ -64,6 +64,19 @@ def test_detect_fig_fixture(fig_files, tmp_path):
     assert v_row == "v,0.333333333,0.666666667"
 
 
+def test_detect_verbose_reports_each_solve(fig_files, tmp_path, capsys):
+    edges, seeds = fig_files
+    out = tmp_path / "fig"
+    assert main(["detect", str(edges), str(seeds), "--verbose", "--out", str(out)]) == 0
+    first, *lines = capsys.readouterr().out.splitlines()
+    assert first == "11 nodes, 14 edges, 2 seeds, 2 communities"
+    manifest = json.loads((tmp_path / "fig.manifest.json").read_text())
+    iterations, residuals = manifest["solver_iterations"], manifest["solver_residuals"]
+    assert len(iterations) == len(residuals) == 2
+    assert lines == [f"community {i}: {k} iterations, residual {r:.3e}"
+                     for i, (k, r) in enumerate(zip(iterations, residuals))]
+
+
 def test_detect_disconnected_exit_2(tmp_path):
     edges = tmp_path / "two.edges"
     seeds = tmp_path / "two.seeds"
@@ -504,10 +517,12 @@ sys.path.insert(0, sys.argv[1])
 from seedwalk.cli import main
 loaded = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 report = {"import": loaded()}
-out, edges, seeds, wide_edges, wide_seeds = sys.argv[2:]
+out, edges, seeds, wide_edges, wide_seeds, zero_seeds = sys.argv[2:]
 argv = ["generate", "--n", "200", "--avg-k", "10", "--mu", "0.2", "--rng-seed", "1", "--out", out]
 report["generate"] = [main(argv), loaded()]
 report["verify"] = [main(["verify", edges, seeds, "--node", "nope", "--walks", "10"]), loaded()]
+report["detect, zero affinities"] = [main(["detect", wide_edges, zero_seeds, "--jobs", "1", "--out", out + "-z"]),
+                                    loaded()]
 report["detect --jobs 2"] = [main(["detect", wide_edges, wide_seeds, "--jobs", "2", "--out", out + "-j2"]), loaded()]
 report["detect --jobs 1"] = [main(["detect", wide_edges, wide_seeds, "--jobs", "1", "--out", out + "-j1"]),
                              "scipy.sparse" in loaded()]
@@ -517,7 +532,8 @@ print(json.dumps(report))
 
 def test_cli_import_leaves_out_dense_linear_algebra(fig_files, tmp_path):
     # scipy loads at the first solve block: importing the CLI, generating, an
-    # input error and a pooled detect parent never load any of it
+    # input error, a detect whose seed affinities are all zero (no block) and
+    # a pooled detect parent never load any of it
     import seedwalk
 
     src = str(Path(seedwalk.__file__).resolve().parents[1])
@@ -529,12 +545,17 @@ def test_cli_import_leaves_out_dense_linear_algebra(fig_files, tmp_path):
     wide_edges.write_text("".join(f"n{v} n{(v + 1) % n}\nn{v} n{(v + 7) % n}\n" for v in range(n)))
     wide_seeds.write_text("".join(f"n{20 * (c % 3)} {c} {0.5 + c / 100}\nn{20 * ((c + 1) % 3)} {c} 0.25\n"
                                   for c in range(l)))
+    zero_seeds = tmp_path / "zero.seeds"
+    zero_seeds.write_text("".join(f"{line.rsplit(' ', 1)[0]} 0\n" for line in wide_seeds.read_text().splitlines()))
     argv = [sys.executable, "-c", SCIPY_PROBE, src, str(tmp_path / "gen"), str(edges), str(seeds),
-            str(wide_edges), str(wide_seeds)]
+            str(wide_edges), str(wide_seeds), str(zero_seeds)]
     proc = subprocess.run(argv, check=True, capture_output=True, text=True)
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report == {"import": [], "generate": [0, []], "verify": [64, []],
+    assert report == {"import": [], "generate": [0, []], "verify": [64, []], "detect, zero affinities": [0, []],
                       "detect --jobs 2": [0, []], "detect --jobs 1": [0, True]}
+    zero = list(csv.reader(io.StringIO((tmp_path / "gen-z.affinity.csv").read_text())))
+    assert len(zero) == n + 1 and all(len(row) == l + 1 for row in zero)
+    assert {float(x) for row in zero[1:] for x in row[1:]} == {0.0}
     for name in ("affinity", "crisp"):
         assert (tmp_path / f"gen-j2.{name}.csv").read_bytes() == (tmp_path / f"gen-j1.{name}.csv").read_bytes()
 

@@ -187,6 +187,8 @@ def test_seed_file_errors():
         load_seed_file(io.StringIO("zz 0 1\n"), g)
     with pytest.raises(ParseError, match=r"^line 1: affinity 1.5 outside \[0, 1\]$"):
         load_seed_file(io.StringIO("a 0 1.5\n"), g)
+    with pytest.raises(ParseError, match="^line 1: negative community index$"):
+        load_seed_file(io.StringIO("a -1 1\n"), g)
     with pytest.raises(ParseError, match="^line 2: duplicate entry for node 'a', community 0$"):
         load_seed_file(io.StringIO("a 0 1\na 0 0.5\n"), g)
     # the first bad line wins: the duplicate on line 2, not the affinity on line 3

@@ -345,6 +345,26 @@ def test_matcher_places_simple_edges_and_keeps_every_stub(pool, seed):
         assert (member[u] != member[w]).all()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([0.0, 1e-12]) | st.floats(0.0, 1.0, exclude_min=True), st.integers(0, 2**32 - 1))
+def test_wire_accounts_for_every_stub(data, mu, seed):
+    # every stub of an even degree sum ends in an edge or a drop: an odd
+    # external pool would leave _match pairing arrays of unequal length
+    n = data.draw(st.integers(2, 24))
+    member = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    degrees = np.array(data.draw(st.lists(st.integers(1, 8), min_size=n, max_size=n)))
+    degrees[0] += degrees.sum() % 2
+    edges, dropped = lfr._wire(member, degrees, internal_degree(degrees, mu), mu, np.random.default_rng(seed))
+    assert 2 * len(edges) + 2 * dropped == degrees.sum()
+    u, w = edges.T
+    assert (u != w).all()
+    keys = np.minimum(u, w) * n + np.maximum(u, w)
+    assert np.unique(keys).size == keys.size
+    assert (np.bincount(edges.ravel(), minlength=n) <= degrees).all()
+    if mu == 0.0:
+        assert (member[u] == member[w]).all()
+
+
 @pytest.mark.parametrize("field", ["avg_k", "gamma", "beta_exp"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_parameters_rejected(field, value):
@@ -432,6 +452,9 @@ def test_truth_file_node_listed_twice_rejected():
     for index in ("3", "-1", "1000000000000000000000000000000"):
         with pytest.raises(ParseError, match=f"line 2: community index {index} out of range"):
             load_planted(io.StringIO("a b\nb c\n"), io.StringIO(f"a 0\nb {index}\nc 1\n"))
+    # every node of the graph must be listed
+    with pytest.raises(ParseError, match=r"^1 node\(s\) missing from the ground-truth file$"):
+        load_planted(io.StringIO("a b\nb c\n"), io.StringIO("a 0\nc 1\n"))
 
 
 @settings(max_examples=100, deadline=None)

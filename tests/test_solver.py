@@ -333,6 +333,30 @@ def test_multi_block_solve_properties(seed, n, stochastic):
         assert np.abs(X.sum(axis=1) - 1.0).max() <= 1e-6
 
 
+def test_a_block_restarts_from_its_current_iterate(monkeypatch):
+    # a pass whose true residual stays above tol is followed by one that
+    # restarts from its iterate (r = b - L x); PCG at these sizes meets tol in
+    # its first pass, so the first pass of each block is made to stop at 1e4 tol
+    rng = np.random.default_rng(43)
+    g = random_connected_graph(rng, 500)
+    ids = np.sort(rng.choice(g.n, size=50, replace=False))
+    seeds = SeedSet(ids, rng.random((ids.size, BLOCK + 4)))
+    system = assemble(build_chain(g, seeds.ids), seeds)
+    tol = 1e-10
+    plain, _ = solve_iterative_all(system, tol=tol)
+    pcg, restarted = solver._pcg, []
+
+    def loose_first_pass(L, diag, B, X, used, cols, tol, max_iter):
+        restarted.append(X.any())  # a block's X is zero until its first pass ends
+        pcg(L, diag, B, X, used, cols, tol if restarted[-1] else 1e4 * tol, max_iter)
+
+    monkeypatch.setattr(solver, "_pcg", loose_first_pass)
+    forced, reports = solve_iterative_all(system, tol=tol)
+    assert restarted.count(False) == 2 and any(restarted)
+    assert all(r.converged and r.relative_residual <= tol for r in reports)
+    assert np.abs(forced - plain).max() <= 10 * tol
+
+
 def test_zero_rhs_short_circuits():
     g, chain, _ = _path_system()
     seeds = SeedSet([g.id_of("s"), g.id_of("t")], [[0.0], [0.0]])
