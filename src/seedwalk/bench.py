@@ -38,7 +38,6 @@ class TrialResult:
     params: LfrParams | None
     sigma: float
     trial_index: int
-    rng_seed: int
     q: float
     seconds: float
     uncovered: int  # communities the sampled seeds missed
@@ -49,10 +48,6 @@ class TrialResult:
     @property
     def ok(self) -> bool:
         return self.failure is None
-
-    @property
-    def error(self) -> str | None:
-        return None if self.ok else f"{type(self.failure).__name__}: {self.failure}"
 
 
 @dataclass(frozen=True)
@@ -98,7 +93,7 @@ def _run(source: LfrParams | PlantedGraph, sigma: float, index: int, master_seed
     except SeedwalkError as exc:
         failure = exc.with_traceback(None)  # its frames would keep the failed run's graph alive
     seconds = perf_counter() - start
-    return TrialResult(params, sigma, index, master_seed, q, seconds, len(uncovered), failure, mixing, attempts)
+    return TrialResult(params, sigma, index, q, seconds, len(uncovered), failure, mixing, attempts)
 
 
 def run_trial(params: LfrParams, sigma: float, cell_index: int, trial_index: int, master_seed: int) -> TrialResult:

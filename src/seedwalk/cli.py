@@ -1,8 +1,8 @@
 """Command-line entry point: generate, detect, verify, sweep, histogram.
 
-Every run writes a JSON manifest next to its outputs with the full flag
-set, rng seed, and artifact version, so outputs can be reproduced exactly.
-All randomness flows from --rng-seed.
+Every command but verify writes a JSON manifest next to its outputs with the
+full flag set, rng seed, and artifact version, so outputs can be reproduced
+exactly. All randomness flows from --rng-seed.
 
 Outside input is checked in two places. Flag values are checked by argparse
 types, so a bad value is a usage error naming the flag. Errors raised while
@@ -81,8 +81,9 @@ def _failure_report(records: list[bench.TrialResult]) -> dict:
 
 @contextlib.contextmanager
 def _csv_out(path: Path):
-    """Open a CSV output before the work that fills it, so an unwritable path
-    fails first; if the work fails, remove the file, so no partial CSV stays."""
+    """Open an output file before the work that fills it, so an unwritable path
+    fails first; if the work fails, remove the file, so no partial output stays.
+    Nest one per output: a later path that cannot be opened removes the earlier files."""
     with open(path, "w", encoding="utf-8") as fh:
         try:
             yield fh
@@ -92,24 +93,34 @@ def _csv_out(path: Path):
             raise
 
 
+def _refuse_input_overwrite(outputs: list[Path], *inputs: str) -> None:
+    """An output opened before the inputs are read must not be one of them."""
+    given = {Path(p).resolve() for p in inputs}
+    for path in outputs:
+        if path.resolve() in given:
+            raise UsageError(f"--out would overwrite the input file {path}")
+
+
 def cmd_detect(args) -> int:
-    g = load_edge_list(args.edges)
-    seeds = load_seed_file(args.seeds, g)
-    aff = detect_multi(g, seeds, tol=args.tol, jobs=args.jobs)
     prefix = str(args.out)
     affinity_path = Path(prefix + ".affinity.csv")
     crisp_path = Path(prefix + ".crisp.csv")
-    with open(affinity_path, "w", encoding="utf-8") as fh:
-        write_affinity_csv(aff, g, fh, jobs=args.jobs)
-    with open(crisp_path, "w", encoding="utf-8") as fh:
-        write_crisp_csv(aff, g, fh)
+    manifest_path = Path(prefix + ".manifest.json")
+    _refuse_input_overwrite([affinity_path, crisp_path, manifest_path], args.edges, args.seeds)
+    with _csv_out(affinity_path) as affinity_fh, _csv_out(crisp_path) as crisp_fh:
+        g = load_edge_list(args.edges)
+        seeds = load_seed_file(args.seeds, g)
+        aff = detect_multi(g, seeds, tol=args.tol, jobs=args.jobs)
+        write_affinity_csv(aff, g, affinity_fh, jobs=args.jobs)
+        write_crisp_csv(aff, g, crisp_fh)
     extra = {
+        "input": {"n": g.n, "m": g.m, "duplicates_collapsed": g.duplicates_collapsed},
         "inputs": [str(args.edges), str(args.seeds)],
         "outputs": [str(affinity_path), str(crisp_path)],
         "solver_iterations": [r.iterations for r in aff.reports],
         "solver_residuals": [r.relative_residual for r in aff.reports],
     }
-    _write_manifest(Path(prefix + ".manifest.json"), "detect", args, extra)
+    _write_manifest(manifest_path, "detect", args, extra)
     if args.verbose:
         print(f"{g.n} nodes, {g.m} edges, {len(seeds)} seeds, {seeds.l} communities")
         for i, r in enumerate(aff.reports):
@@ -135,14 +146,13 @@ def _lfr_params(args, mu: float) -> LfrParams:
 
 def cmd_generate(args) -> int:
     params = _lfr_params(args, args.mu)
-    pg = lfr.generate(params)
     prefix = str(args.out)
     edges_path = Path(prefix + ".edges")
     truth_path = Path(prefix + ".truth")
-    with open(edges_path, "w", encoding="utf-8") as fh:
-        write_edge_list(pg.graph, fh)
-    with open(truth_path, "w", encoding="utf-8") as fh:
-        lfr.write_truth(pg, fh)
+    with _csv_out(edges_path) as edges_fh, _csv_out(truth_path) as truth_fh:
+        pg = lfr.generate(params)
+        write_edge_list(pg.graph, edges_fh)
+        lfr.write_truth(pg, truth_fh)
     k_min, k_max, s_min, s_max = params.resolved_bounds()
     _write_manifest(
         Path(prefix + ".manifest.json"),
@@ -245,11 +255,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_histogram(args) -> int:
-    pg = lfr.load_planted(args.edges, args.truth)
-    if lfr.seed_count(args.sigma, pg.graph.n) < 1:
-        raise UsageError(f"--sigma must give at least one seed among {pg.graph.n} nodes")
     out = Path(args.out)
+    _refuse_input_overwrite([out, out.with_suffix(".manifest.json")], args.edges, args.truth)
     with _csv_out(out) as fh:
+        pg = lfr.load_planted(args.edges, args.truth)
+        if lfr.seed_count(args.sigma, pg.graph.n) < 1:
+            raise UsageError(f"--sigma must give at least one seed among {pg.graph.n} nodes")
         records = bench.seed_resamples(pg, args.sigma, args.runs, args.rng_seed, jobs=args.jobs)
         qualities = [r.q for r in records if r.ok]
         if not qualities:
@@ -260,7 +271,13 @@ def cmd_histogram(args) -> int:
         out.with_suffix(".manifest.json"),
         "histogram",
         args,
-        {"outputs": [str(out)], "q_mean": q_mean, "runs_ok": len(qualities), **_failure_report(records)},
+        {
+            "input": {"n": pg.graph.n, "m": pg.graph.m, "duplicates_collapsed": pg.graph.duplicates_collapsed},
+            "outputs": [str(out)],
+            "q_mean": q_mean,
+            "runs_ok": len(qualities),
+            **_failure_report(records),
+        },
     )
     failed = len(records) - len(qualities)
     if failed:

@@ -19,8 +19,11 @@ class Graph:
     """Immutable undirected simple graph.
 
     adjacency is stored as two arrays: ``offsets`` (length n+1) and
-    ``targets`` (length 2m), with each node's neighbor list sorted
-    ascending. ``labels[v]`` is the external label of internal id v.
+    ``targets`` (length 2m). Node v's neighbors are
+    ``targets[offsets[v]:offsets[v + 1]]``, sorted ascending, and its degree
+    is ``degrees()[v]``. ``labels[v]`` is the external label of internal id v.
+    ``duplicates_collapsed`` counts the input edges dropped as repeats of an
+    earlier one, in either orientation.
     """
 
     __slots__ = ("offsets", "targets", "labels", "_label_ids", "duplicates_collapsed")
@@ -49,10 +52,6 @@ class Graph:
     def m(self) -> int:
         return len(self.targets) // 2
 
-    def degree(self, v: int) -> int:
-        self._check_node(v)
-        return int(self.offsets[v + 1] - self.offsets[v])
-
     def degrees(self) -> np.ndarray:
         """Degree of every node, as an array."""
         return np.diff(self.offsets)
@@ -61,19 +60,11 @@ class Graph:
         """Source node of every arc, aligned with ``targets``."""
         return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
 
-    def neighbors(self, v: int) -> np.ndarray:
-        self._check_node(v)
-        return self.targets[self.offsets[v] : self.offsets[v + 1]]
-
     def id_of(self, label: str) -> int:
         try:
             return self._label_ids[label]
         except KeyError:
             raise KeyError(f"unknown node label {label!r}") from None
-
-    def _check_node(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise ValueError(f"node id {v} out of range [0, {self.n})")
 
     @classmethod
     def from_edges(

@@ -25,13 +25,9 @@ DEFAULT_STEP_CAP = 10_000_000
 class WalkStats:
     """Absorption tallies for walks from one start node."""
 
-    start: int
     seed_ids: np.ndarray
     counts: np.ndarray
     walks: int
-
-    def frequencies(self) -> np.ndarray:
-        return self.counts / self.walks
 
 
 def run_walks(
@@ -59,7 +55,7 @@ def run_walks(
         counts += _walk_batch(chain, start, size, rng_seed, batch_idx, step_cap)
         done += size
         batch_idx += 1
-    return WalkStats(start=start, seed_ids=chain.seeds.copy(), counts=counts, walks=walks)
+    return WalkStats(seed_ids=chain.seeds.copy(), counts=counts, walks=walks)
 
 
 def _walk_batch(chain, start, size, rng_seed, batch_idx, step_cap) -> np.ndarray:

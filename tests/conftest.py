@@ -43,6 +43,11 @@ def fig_seeds(fig_graph) -> SeedSet:
     return load_seed_file(io.StringIO(FIG_SEEDS), fig_graph)
 
 
+def neighbors(g: Graph, v: int) -> np.ndarray:
+    """Node v's neighbors, ascending."""
+    return g.targets[g.offsets[v] : g.offsets[v + 1]]
+
+
 def path_graph(k: int) -> Graph:
     """Path s - v1 - ... - vk - t with labels s, v1..vk, t."""
     labels = ["s"] + [f"v{i}" for i in range(1, k + 1)] + ["t"]
@@ -80,7 +85,7 @@ def dense_absorption_oracle(g: Graph, seed_ids, seed_rows) -> tuple[list[int], n
     n = g.n
     P = np.zeros((n, n))
     for v in range(n):
-        nbrs = g.neighbors(v)
+        nbrs = neighbors(g, v)
         P[v, nbrs] = 1.0 / nbrs.size
     s = sorted(int(x) for x in seed_ids)
     s_set = set(s)

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from seedwalk import LfrParams, load_edge_list, run_sweep, seed_resample_qualities
+from seedwalk import GenerationError, LfrParams, ReachabilityError, load_edge_list, run_sweep, seed_resample_qualities
 from seedwalk.bench import (
     histogram,
     membership_quality,
@@ -77,7 +77,12 @@ def test_sweep_requires_trials():
 
 def _all_but_seconds(records):
     # a failed run's Q is nan, which equals nothing, so compare it as text
-    return [(r.params, r.sigma, r.trial_index, r.rng_seed, repr(r.q), r.uncovered, r.error) for r in records]
+    return [(r.params, r.sigma, r.trial_index, repr(r.q), r.uncovered, repr(r.failure)) for r in records]
+
+
+def test_seed_resamples_requires_runs():
+    with pytest.raises(ValueError, match="^runs must be >= 1$"):
+        seed_resamples(_planted([0, 0, 1, 1]), 0.5, runs=0, rng_seed=0)
 
 
 def test_sweep_deterministic_across_workers():
@@ -88,7 +93,7 @@ def test_sweep_deterministic_across_workers():
     r1, s1 = run_sweep(cells, trials=4, rng_seed=13, jobs=1)
     r2, s2 = run_sweep(cells, trials=4, rng_seed=13, jobs=2)
     assert [t.q for t in r1] == [t.q for t in r2]
-    assert _all_but_seconds(r1) == _all_but_seconds(r2)  # error and uncovered included
+    assert _all_but_seconds(r1) == _all_but_seconds(r2)  # failure and uncovered included
     assert [c.q_mean for c in s1] == [c.q_mean for c in s2]
 
 
@@ -105,7 +110,7 @@ def test_seed_resamples_deterministic_across_workers():
     assert _all_but_seconds(r1) == _all_but_seconds(r2)
     assert [r.trial_index for r in r1] == list(range(8))
     assert sum(r.ok for r in r1) == 4
-    assert all(r.error.startswith("ReachabilityError: ") for r in r1 if not r.ok)
+    assert all(isinstance(r.failure, ReachabilityError) for r in r1 if not r.ok)
     assert seed_resample_qualities(_split_graph(), 0.3, runs=8, rng_seed=0) == [r.q for r in r1 if r.ok]
 
 
@@ -122,7 +127,7 @@ def test_trial_records_generation_failure():
     bad = LfrParams(n=500, avg_k=200, gamma=2.0, beta_exp=2.0, mu=0.2)
     result = run_trial(bad, 0.1, 0, 0, master_seed=0)
     assert not result.ok
-    assert "GenerationError" in result.error
+    assert isinstance(result.failure, GenerationError)
     assert np.isnan(result.q)
     # a cell with no successful trial has no realized mixing or attempts to average
     _, [summary] = run_sweep([(bad, 0.1)], trials=2, rng_seed=0)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seedwalk import SeedSet, bench, lfr, write_seed_file
+from seedwalk import SeedSet, bench, cli, lfr, write_seed_file
 from seedwalk.cli import main
 from seedwalk.solver import BLOCK
 
@@ -127,7 +127,7 @@ def test_verify_gap_violation_exit_5(fig_files, monkeypatch):
     def broken_walks(chain, start, walks, rng_seed, step_cap=0):
         counts = np.zeros(chain.sigma, dtype=np.int64)
         counts[0] = walks  # everything to the first seed, regardless of structure
-        return WalkStats(start=start, seed_ids=chain.seeds.copy(), counts=counts, walks=walks)
+        return WalkStats(seed_ids=chain.seeds.copy(), counts=counts, walks=walks)
 
     monkeypatch.setattr(cli.walker, "run_walks", broken_walks)
     assert main(["verify", str(edges), str(seeds), "--node", "v",
@@ -416,10 +416,19 @@ LFR_FLAGS = ["--n", "200", "--avg-k", "10", "--mu", "0.1"]
           "--out", "{tmp}/h.csv"], 2),
         (["histogram", "{edges}", "{huge_truth}", "--sigma", "0.3", "--runs", "1", "--jobs", "1",
           "--out", "{tmp}/h.csv"], 1),
+        # the second output path is a directory: the first output must not stay behind
+        (["detect", "{edges}", "{seeds}", "--out", "{tmp}/d"], 1),
+        (["generate", *LFR_FLAGS, "--out", "{tmp}/g"], 1),
+        # the resolved k_max (n/10, at least 2) is not below n
+        (["generate", "--n", "2", "--avg-k", "1", "--mu", "0", "--out", "{tmp}/x"], 4),
+        # a steep law on [1, 19] has a mean far below 15: no draw comes within 5%
+        (["generate", "--n", "200", "--avg-k", "15", "--k-min", "1", "--k-max", "19", "--gamma", "3",
+          "--mu", "0.1", "--out", "{tmp}/x"], 4),
     ],
     ids=["detect-out", "generate-out", "sweep-out", "histogram-out", "generate-avg-k-nan", "sweep-avg-k-nan",
          "generate-s-max-above-n",
-         "histogram-unreachable-pooled", "histogram-huge-community"],
+         "histogram-unreachable-pooled", "histogram-huge-community",
+         "detect-second-out", "generate-second-out", "generate-k-max-not-below-n", "generate-degree-mean-unsettled"],
 )
 def test_runtime_errors_exit_with_their_code(argv, code, fig_files, tmp_path, capsys, monkeypatch):
     edges, seeds = fig_files
@@ -434,6 +443,10 @@ def test_runtime_errors_exit_with_their_code(argv, code, fig_files, tmp_path, ca
 
     for name in ("run_sweep", "seed_resamples"):
         monkeypatch.setattr(bench, name, spy(getattr(bench, name)))
+    monkeypatch.setattr(cli, "detect_multi", spy(cli.detect_multi))
+    monkeypatch.setattr(lfr, "generate", spy(lfr.generate))
+    (tmp_path / "d.crisp.csv").mkdir()
+    (tmp_path / "g.truth").mkdir()
     truth = tmp_path / "fig.truth"
     truth.write_text("".join(f"{lab} 0\n" for lab in dict.fromkeys(FIG_EDGES.split())))
     # an index beyond int64 must be a parse error, not an OverflowError
@@ -447,13 +460,32 @@ def test_runtime_errors_exit_with_their_code(argv, code, fig_files, tmp_path, ca
     argv = [arg.format(**paths) for arg in argv]
     assert main(argv) == code
     err = capsys.readouterr().err
-    assert "error:" in err and "Traceback" not in err
-    # an unwritable --out fails before any trial or re-sample runs, and a
-    # failed run leaves no output behind
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1 and "Traceback" not in err
+    # an unwritable --out fails before any solve, generation, trial or
+    # re-sample runs, and a failed run leaves no output file behind
     if code == 1:
         assert calls == []
     out = Path(argv[argv.index("--out") + 1])
-    assert not list(out.parent.glob(out.name + "*"))
+    assert not [path for path in out.parent.glob(out.name + "*") if path.is_file()]
+
+
+@pytest.mark.parametrize("command", ["detect", "histogram"])
+def test_out_naming_an_input_is_refused(command, fig_files, tmp_path, capsys):
+    # outputs are opened before the inputs are read: one that is an input
+    # would be truncated unread, then removed when the parse fails
+    edges, seeds = fig_files
+    truth = tmp_path / "fig.truth"
+    truth.write_text("".join(f"{lab} 0\n" for lab in dict.fromkeys(FIG_EDGES.split())))
+    if command == "detect":
+        edges = edges.rename(tmp_path / "g.affinity.csv")
+        argv = ["detect", str(edges), str(seeds), "--out", str(tmp_path / "g")]
+    else:
+        argv = ["histogram", str(edges), str(truth), "--sigma", "0.3", "--out", str(edges)]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 64
+    assert "error: --out would overwrite the input file" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+    assert edges.read_text() == FIG_EDGES
 
 
 def test_detect_quotes_labels_holding_comma_or_quote(tmp_path):
@@ -492,6 +524,7 @@ def test_histogram_sigma_without_seeds_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 64
     assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "h.csv").exists()
 
 
 @pytest.mark.parametrize("bad", ["edges", "seeds", "truth"])

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from seedwalk import Graph, ParseError, load_edge_list, write_edge_list
 from seedwalk.graph import check_seed_reachability
 
-from conftest import LABELS, labelled_edges, random_connected_graph
+from conftest import LABELS, labelled_edges, neighbors, random_connected_graph
 
 
 def test_load_path_of_three():
     g = load_edge_list(io.StringIO("0 1\n1 2\n"))
     assert g.n == 3
     assert g.m == 2
-    assert [g.degree(v) for v in range(3)] == [1, 2, 1]
+    assert g.degrees().tolist() == [1, 2, 1]
 
 
 def test_duplicate_edges_collapse():
@@ -59,15 +59,13 @@ def test_comments_and_blank_lines_skipped():
 def test_complete_graph_degrees():
     edges = [(u, w) for u in range(4) for w in range(u + 1, 4)]
     g = Graph.from_edges(4, edges)
-    assert all(g.degree(v) == 3 for v in range(4))
+    assert g.degrees().tolist() == [3, 3, 3, 3]
 
 
-def test_degree_out_of_range():
-    g = load_edge_list(io.StringIO("a b\n"))
-    with pytest.raises(ValueError, match="out of range"):
-        g.degree(2)
-    with pytest.raises(ValueError, match="out of range"):
-        g.degree(-1)
+def test_edge_endpoint_out_of_range():
+    for edges in ([(0, 2)], [(-1, 1)], np.array([[0, 1], [3, 1]])):
+        with pytest.raises(ValueError, match="^edge endpoint out of range$"):
+            Graph.from_edges(2, edges)
 
 
 @st.composite
@@ -121,6 +119,28 @@ def test_load_edge_list_matches_from_edges_of_interned_pairs(case):
     assert g.duplicates_collapsed == expected.duplicates_collapsed
 
 
+@pytest.mark.parametrize(
+    "offsets, targets, message",
+    [
+        ([0, 1, 2, 3], [1, 0, 0], "degree sum != 2m"),
+        ([0, 1, 2], [0, 1], "self-loop present"),
+        ([0, 1, 2], [1, 2], "neighbor id out of range"),
+        ([0, 2, 3, 4], [2, 1, 0, 0], "neighbor list not strictly increasing"),
+        ([0, 2, 3, 4], [1, 2, 2, 0], "adjacency not symmetric"),
+    ],
+    ids=["odd-arc-count", "self-loop", "target-out-of-range", "unsorted-row", "one-way-arc"],
+)
+def test_validate_reports_each_corruption(offsets, targets, message):
+    # each adjacency breaks exactly one invariant, and the checks before it pass
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Graph(np.array(offsets), np.array(targets)).validate()
+
+
+def test_labels_must_cover_every_node():
+    with pytest.raises(ValueError, match="^1 labels for 2 nodes$"):
+        Graph(np.array([0, 1, 2]), np.array([1, 0]), ["a"])
+
+
 def test_from_edges_rejects_self_loop():
     with pytest.raises(ValueError, match="self-loop"):
         Graph.from_edges(3, [(0, 0)])
@@ -150,8 +170,8 @@ def test_round_trip_preserves_adjacency():
     g2 = load_edge_list(io.StringIO(buf.getvalue()))
     assert g2.n == g.n
     assert g2.m == g.m
-    before = {frozenset((g.labels[u], g.labels[w])) for u in range(g.n) for w in g.neighbors(u)}
-    after = {frozenset((g2.labels[u], g2.labels[w])) for u in range(g2.n) for w in g2.neighbors(u)}
+    before = {frozenset((g.labels[u], g.labels[w])) for u in range(g.n) for w in neighbors(g, u)}
+    after = {frozenset((g2.labels[u], g2.labels[w])) for u in range(g2.n) for w in neighbors(g2, u)}
     assert before == after
 
 
@@ -164,8 +184,8 @@ def test_random_graph_invariants(seed):
     assert deg.sum() == 2 * g.m
     # symmetry by direct scan
     for v in range(g.n):
-        for w in g.neighbors(v):
-            assert v in g.neighbors(w)
+        for w in neighbors(g, v):
+            assert v in neighbors(g, w)
 
 
 def test_seed_file_sparse_community_indices():
@@ -245,7 +265,7 @@ def test_seed_set_contract():
 
 
 def _edge_set(g):
-    return {frozenset((g.labels[u], g.labels[w])) for u in range(g.n) for w in g.neighbors(u)}
+    return {frozenset((g.labels[u], g.labels[w])) for u in range(g.n) for w in neighbors(g, u)}
 
 
 @settings(max_examples=100, deadline=None)

@@ -429,6 +429,9 @@ def test_sample_seeds_sigma_range():
         sample_seeds(pg, 0.0, np.random.default_rng(0))
     with pytest.raises(ValueError, match="sigma"):
         sample_seeds(pg, 1.2, np.random.default_rng(0))
+    # 0.001 of 300 nodes rounds to no seed at all
+    with pytest.raises(ValueError, match="^sigma too small: no seeds$"):
+        sample_seeds(pg, 0.001, np.random.default_rng(0))
 
 
 def test_truth_round_trip(tmp_path):

@@ -6,14 +6,14 @@ import pytest
 
 from seedwalk import ReachabilityError, build_chain, load_edge_list
 
-from conftest import path_graph, random_connected_graph
+from conftest import neighbors, path_graph, random_connected_graph
 
 
 def transition_row(chain, v):
     """Out-transitions of transient node v: (neighbor, 1/deg(v)) per neighbor."""
     if chain.absorbing_index[v] >= 0:
         raise ValueError(f"node {v} is absorbing; its row is the implicit identity")
-    nbrs = chain.graph.neighbors(v)
+    nbrs = neighbors(chain.graph, v)
     p = 1.0 / nbrs.size
     return [(int(w), p) for w in nbrs]
 
@@ -45,7 +45,7 @@ def test_transition_row_uniform(fig_graph, fig_seeds):
     chain = build_chain(fig_graph, fig_seeds.ids)
     v = fig_graph.id_of("v")
     row = transition_row(chain, v)
-    assert fig_graph.degree(v) == 4
+    assert fig_graph.degrees()[v] == 4
     assert len(row) == 4
     assert all(p == pytest.approx(0.25) for _, p in row)
 

@@ -15,7 +15,7 @@ def test_symmetric_coin_on_tiny_path():
     chain = build_chain(g, {g.id_of("s1"), g.id_of("s2")})
     stats = run_walks(chain, g.id_of("a"), walks=100_000, rng_seed=1)
     assert stats.counts.sum() == stats.walks
-    freq = stats.frequencies()
+    freq = stats.counts / stats.walks
     assert abs(freq[0] - 0.5) <= 0.01
     assert abs(freq[1] - 0.5) <= 0.01
 
@@ -23,7 +23,7 @@ def test_symmetric_coin_on_tiny_path():
 def test_fig_graph_million_walks(fig_graph, fig_seeds):
     chain = build_chain(fig_graph, fig_seeds.ids)
     stats = run_walks(chain, fig_graph.id_of("v"), walks=1_000_000, rng_seed=8)
-    freq = stats.frequencies()
+    freq = stats.counts / stats.walks
     i1 = chain.absorbing_index[fig_graph.id_of("s1")]
     i2 = chain.absorbing_index[fig_graph.id_of("s2")]
     assert abs(freq[i1] - 1 / 3) <= 0.002
@@ -67,10 +67,21 @@ def test_step_cap_tripwire():
 def test_estimate_from_counts():
     seed_ids = np.array([0, 4])
     seeds = SeedSet([0, 4], [[1.0, 0.0], [0.0, 1.0]])
-    stats = WalkStats(start=2, seed_ids=seed_ids, counts=np.array([500, 500]), walks=1000)
+    stats = WalkStats(seed_ids=seed_ids, counts=np.array([500, 500]), walks=1000)
     assert estimate_affinity(stats, seeds, 0) == pytest.approx(0.5)
-    all_to_first = WalkStats(start=2, seed_ids=seed_ids, counts=np.array([1000, 0]), walks=1000)
+    all_to_first = WalkStats(seed_ids=seed_ids, counts=np.array([1000, 0]), walks=1000)
     assert estimate_affinity(all_to_first, seeds, 0) == pytest.approx(1.0)
+
+
+def test_estimate_rejects_other_seeds_and_communities():
+    seeds = SeedSet([0, 4], [[1.0, 0.0], [0.0, 1.0]])
+    stats = WalkStats(seed_ids=np.array([0, 3]), counts=np.array([5, 5]), walks=10)
+    with pytest.raises(ValueError, match="^walk stats and affinity set cover different seeds$"):
+        estimate_affinity(stats, seeds, 0)
+    stats = WalkStats(seed_ids=np.array([0, 4]), counts=np.array([5, 5]), walks=10)
+    for community in (-1, 2):
+        with pytest.raises(ValueError, match=f"^community {community} out of range$"):
+            estimate_affinity(stats, seeds, community)
 
 
 def test_estimate_matches_fig_values(fig_graph, fig_seeds):
