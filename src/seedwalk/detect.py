@@ -18,6 +18,13 @@ from .markov import build_chain
 from .pool import pool_map
 from .seeds import SeedSet
 
+# affinities per CSV chunk, as solver.BLOCK is columns per solve block: a chunk is
+# max(1, CHUNK // l) rows, sent to its worker with only its own rows and labels, so
+# no process holds more than about CHUNK values as clipped floats and text. Peak RSS
+# of `detect --jobs 2` on detect_wide (n 10^4, l 217; 2 vCPUs, medians of 6): 67.7 MB
+# at 2**14, 68.0 at 2**16, 74.8 at 2**18; 2**14 only adds tasks
+CHUNK = 1 << 16
+
 
 class AffinityMatrix:
     """Per-node affinity vectors in node-id order: the solved rows for
@@ -97,18 +104,20 @@ def _csv_field(label: str) -> str:
 
 def write_affinity_csv(aff: AffinityMatrix, g: Graph, stream: IO[str], jobs: int = 1) -> None:
     """One row per node: label then clamped affinities at 9 significant digits.
-    Chunks of 1024 rows are formatted in up to `jobs` processes and written in
-    order as they arrive, so the bytes do not depend on `jobs`."""
+    Chunks of about CHUNK affinities are formatted in up to `jobs` processes,
+    each sent with only its own rows and labels, and written in order as they
+    arrive, so the bytes do not depend on `jobs`."""
     stream.write("node," + ",".join(f"c{i}" for i in range(aff.l)) + "\n")
-    stream.writelines(pool_map(_format_rows, [(i,) for i in range(0, aff.n, 1024)], jobs, shared=(aff, g.labels)))
+    rows = max(1, CHUNK // aff.l)
+    tasks = [(aff.values[i : i + rows], g.labels[i : i + rows]) for i in range(0, aff.n, rows)]
+    stream.writelines(pool_map(_format_rows, tasks, jobs))
 
 
-def _format_rows(aff: AffinityMatrix, labels, start: int) -> str:
-    """Rows of node ids start..start+1023, clipped: only one block of the
-    n x l matrix is ever held as clipped floats and strings."""
-    block = np.clip(aff.values[start : start + 1024], 0.0, 1.0)
-    row_format = "%s" + ",%.9g" * aff.l + "\n"
-    cells = zip(map(_csv_field, labels[start : start + 1024]), block.tolist())
+def _format_rows(values: np.ndarray, labels: list[str]) -> str:
+    """The given rows as CSV text, clipped to [0, 1]: one chunk of the n x l
+    matrix is held as clipped floats and strings at a time."""
+    row_format = "%s" + ",%.9g" * values.shape[1] + "\n"
+    cells = zip(map(_csv_field, labels), np.clip(values, 0.0, 1.0).tolist())
     return "".join(row_format % (label, *row) for label, row in cells)
 
 

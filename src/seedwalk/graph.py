@@ -85,14 +85,21 @@ class Graph:
             raise ValueError(f"self-loop on node {pairs[loops][0, 0]}")
         if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
             raise ValueError("edge endpoint out of range")
-        lo, hi = np.sort(pairs, axis=1).T
-        keys = unique_sorted(lo * n + hi)
-        lo, hi = np.divmod(keys, n)
-        # every edge as two arcs, sorted by source then target
-        src, dst = np.divmod(np.sort(np.concatenate([keys, hi * n + lo])), n)
+        keys = np.minimum(pairs[:, 0], pairs[:, 1])
+        keys *= n
+        keys += np.maximum(pairs[:, 0], pairs[:, 1])
+        keys = unique_sorted(keys)
+        # every edge as two arcs source·n+target, lo·n+hi then hi·n+lo, sorted in place
+        arcs = np.concatenate([keys, keys])
+        rev = arcs[keys.size :]
+        rev %= n
+        rev *= n
+        rev += keys // n
+        arcs.sort()
         offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-        return cls(offsets, dst, labels, duplicates_collapsed=len(pairs) - keys.size)
+        np.cumsum(np.bincount(arcs // n, minlength=n), out=offsets[1:])
+        arcs %= n
+        return cls(offsets, arcs, labels, duplicates_collapsed=len(pairs) - keys.size)
 
     def validate(self) -> None:
         """Re-check the structural invariants; raises ValueError on violation."""

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seedwalk import SeedSet, bench, cli, lfr, write_seed_file
+from seedwalk import SeedSet, bench, cli, detect, lfr, write_seed_file
 from seedwalk.cli import main
 from seedwalk.solver import BLOCK
 
@@ -278,14 +278,15 @@ def test_detect_rerun_is_byte_identical(fig_files, tmp_path):
 
 def test_detect_outputs_independent_of_jobs(tmp_path):
     # more than one solve block and more than one CSV chunk, so --jobs 2 runs
-    # both in worker processes; they get their state through the pool
-    # initializer, so workers that inherit no memory (spawn, forkserver) give the same bytes
+    # both in worker processes; solve blocks get the system through the pool
+    # initializer and CSV chunks carry their own rows, so workers that inherit no
+    # memory (spawn, forkserver) give the same bytes
     prefix = tmp_path / "g"
     assert main(["generate", "--n", "1200", "--avg-k", "10", "--mu", "0.3", "--s-min", "10", "--s-max", "40",
                  "--rng-seed", "3", "--out", str(prefix)]) == 0
     pg = lfr.load_planted(f"{prefix}.edges", f"{prefix}.truth")
     seeds, _ = lfr.sample_seeds(pg, 0.1, np.random.default_rng(3))
-    assert seeds.l > BLOCK and pg.graph.n > 1024
+    assert seeds.l > BLOCK and pg.graph.n > detect.CHUNK // seeds.l
     with open(f"{prefix}.seeds", "w", encoding="utf-8") as fh:
         write_seed_file(seeds, pg.graph, fh)
     argv = ["detect", f"{prefix}.edges", f"{prefix}.seeds", "--out"]

@@ -16,6 +16,7 @@ from seedwalk import (
     load_edge_list,
     run_walks,
 )
+from seedwalk import detect
 from seedwalk.detect import AffinityMatrix, write_affinity_csv, write_crisp_csv
 from seedwalk.solver import BLOCK, SolveReport
 
@@ -220,8 +221,9 @@ def test_affinity_csv_format(fig_graph, fig_seeds):
     assert by_node["s1"] == "s1,1,0"
 
 
-def test_affinity_csv_bytes_match_per_value_formatting():
-    # a 2100-node path spans more than one of the writer's 1024-row chunks
+def test_affinity_csv_bytes_match_per_value_formatting(monkeypatch):
+    # 1024-row chunks: a 2100-node path spans three of them
+    monkeypatch.setattr(detect, "CHUNK", 3 * 1024)
     for k in (3, 2100):
         g = path_graph(k)
         rng = np.random.default_rng(67)
@@ -239,9 +241,10 @@ def test_affinity_csv_bytes_match_per_value_formatting():
         assert "v1,0,1,1e-12\n" in expected and "v2,0,1,0.333333333\n" in expected
 
 
-def test_affinity_csv_bytes_independent_of_jobs():
+def test_affinity_csv_bytes_independent_of_jobs(monkeypatch):
     # three 1024-row chunks, formatted in worker processes, and a label that
     # must be quoted: the bytes equal those written in one process
+    monkeypatch.setattr(detect, "CHUNK", 3 * 1024)
     k = 2100
     labels = path_graph(k).labels
     labels[1500] = 'x,"y'
@@ -254,6 +257,60 @@ def test_affinity_csv_bytes_independent_of_jobs():
     write_affinity_csv(aff, g, pooled, jobs=2)
     assert pooled.getvalue() == serial.getvalue()
     assert '\n"x,""y",' in serial.getvalue()
+
+
+def test_affinity_csv_chunks_carry_only_their_rows(monkeypatch):
+    # 50 rows of 3 affinities in chunks of 20 // 3 = 6 rows: eight full chunks and
+    # a short last one, each task holding only its own rows and labels
+    k, l = 48, 3
+    labels = path_graph(k).labels
+    labels[40] = 'x,"y'
+    g = Graph.from_edges(k + 2, [(i, i + 1) for i in range(k + 1)], labels)
+    aff = AffinityMatrix(np.random.default_rng(73).random((k + 2, l)) * 1.2 - 0.1, np.arange(1, k + 1))
+    whole = io.StringIO()
+    monkeypatch.setattr(detect, "CHUNK", g.n * l)
+    write_affinity_csv(aff, g, whole)
+    calls, pool_map = [], detect.pool_map
+
+    def spy(fn, tasks, jobs, shared=()):
+        calls.append((tasks, shared))
+        return pool_map(fn, tasks, jobs, shared)
+
+    monkeypatch.setattr(detect, "CHUNK", 20)
+    monkeypatch.setattr(detect, "pool_map", spy)
+    for jobs in (1, 2, 3):
+        buf = io.StringIO()
+        write_affinity_csv(aff, g, buf, jobs=jobs)
+        assert buf.getvalue() == whole.getvalue()
+    assert '\n"x,""y",' in whole.getvalue()
+    for tasks, shared in calls:
+        assert shared == ()
+        assert [len(values) for values, _ in tasks] == [6] * 8 + [2]
+        assert all(len(labels) == len(values) for values, labels in tasks)
+
+
+def test_affinity_csv_holds_one_chunk_at_a_time():
+    # 256 rows of 2,000 affinities: a chunk is 32 rows, and per value the writer
+    # holds a clipped float, a Python float with its list slot and about two
+    # copies of its text, so the peak is bounded by CHUNK alone, not by n x l
+    class Discard:
+        def write(self, text):
+            pass
+
+        def writelines(self, lines):
+            for _ in lines:
+                pass
+
+    n, l = 256, 2000
+    g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    aff = AffinityMatrix(np.random.default_rng(79).random((n, l)), np.arange(n))
+    tracemalloc.start()
+    try:
+        write_affinity_csv(aff, g, Discard())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * detect.CHUNK
 
 
 def test_crisp_csv_format(fig_graph, fig_seeds):
