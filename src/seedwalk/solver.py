@@ -20,16 +20,25 @@ column is summed explicitly (see _coldot). So blocks may group columns
 any way and run in any process: the result does not depend on `jobs`.
 
 assemble builds both matrices as plain compressed arrays with numpy, straight
-from the graph's offsets and targets. scipy supplies only the sparse product
-inside a solve: it is imported by whichever process runs a solve block, and by
-AbsorbingSystem.matrix(). Commands that never solve (generate, --help, input
-errors) never load it, nor does a `detect` whose seed affinities are all zero
-(it runs no block) or whose parent leaves every block to worker processes.
+from the graph's offsets and targets. Of scipy, a solve uses only the compiled
+CSR-times-dense kernel: whichever process runs a solve block loads scipy's
+extension file sparse/_sparsetools by itself (_kernels), in under 1 ms and
+0.2 MB of RSS, and imports neither the scipy nor the scipy.sparse package,
+which would cost 0.15-0.2 s and about 20 MB per process (most of it scipy's
+array-API layer cloning numpy). Only AbsorbingSystem.matrix() imports
+scipy.sparse. Commands that never solve (generate, --help, input errors) load
+no part of scipy, nor does a `detect` whose seed affinities are all zero (it
+runs no block) or whose parent leaves every block to worker processes.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from types import ModuleType
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -96,7 +105,12 @@ class AbsorbingSystem:
         return _densify(self.b, np.arange(self.communities))
 
     def matrix(self) -> scipy.sparse.csr_matrix:
-        """D - A_TT as a scipy CSR matrix on the laplacian's data and indices (not copied)."""
+        """D - A_TT as a scipy CSR matrix on the laplacian's data and indices (not copied).
+
+        The one place that imports scipy.sparse, kept for perfbench's traced
+        tour and the tests: a solve calls scipy's CSR kernel directly
+        (_matmul), with products bit-identical to this matrix's.
+        """
         import scipy.sparse
 
         L = self.laplacian
@@ -205,7 +219,8 @@ def solve_iterative_all(
 
 def _solve_block(system, cols, tol, max_iter) -> tuple:
     """(cols, X, iterations, relative residuals) of the right-hand sides cols."""
-    L = system.matrix()
+    # the kernel takes one index type: int32, as csr_matrix picks for fewer than 2**31 entries
+    L = system.laplacian._replace(indptr=system.laplacian.indptr.astype(np.int32))
     B = _densify(system.b, cols)
     bnorm = _colnorm(B)
     X, used, rel = np.zeros_like(B), np.zeros(cols.size, dtype=np.int64), np.zeros(cols.size)
@@ -216,7 +231,7 @@ def _solve_block(system, cols, tol, max_iter) -> tuple:
         if not pending.size:
             break
         _pcg(L, system.diag, B, X, used, pending, tol, max_iter)
-        rel[pending] = _colnorm(B.take(pending, axis=1) - L @ X.take(pending, axis=1)) / bnorm[pending]
+        rel[pending] = _colnorm(B.take(pending, axis=1) - _matmul(L, X.take(pending, axis=1))) / bnorm[pending]
         pending = pending[(rel[pending] > tol) & (used[pending] < max_iter)]
     return cols, X, used, rel
 
@@ -251,7 +266,7 @@ def _pcg(L, diag, B, X, used, cols, tol, max_iter) -> None:
     r = B.take(cols, axis=1)  # b, until its norm is taken
     bound = tol * _colnorm(r)
     if x.any():  # on a block's first pass x is zero, and b - L @ 0 is b bit for bit
-        r -= L @ x
+        r -= _matmul(L, x)
     p = inv_diag * r
     rz = _coldot(r, p)
     rn = _colnorm(r)
@@ -271,7 +286,7 @@ def _pcg(L, diag, B, X, used, cols, tol, max_iter) -> None:
             x = np.compress(keep, x, axis=1)
             r = np.compress(keep, r, axis=1)
             p = np.compress(keep, p, axis=1)
-        Ap = L @ p
+        Ap = _matmul(L, p)
         pAp = _coldot(p, Ap)
         alpha = np.divide(rz, pAp, out=np.zeros_like(pAp), where=pAp > 0.0)
         r -= np.multiply(alpha, Ap, out=Ap)
@@ -285,6 +300,39 @@ def _pcg(L, diag, B, X, used, cols, tol, max_iter) -> None:
         p += z
         rz = rz_new
         del Ap, z  # so the next matvec and compress hold no stale block
+
+
+def _matmul(L: Compressed, X: np.ndarray) -> np.ndarray:
+    """L @ X for CSR arrays L (int32 indptr and indices) and a dim x k array X.
+
+    The kernel call that scipy's csr_matrix @ makes, into a zeroed C-ordered
+    result: csr_matvec for one column, csr_matvecs for more. So the product is
+    bit-identical to system.matrix() @ X.
+    """
+    out = np.zeros((L.shape[0], X.shape[1]))
+    if X.shape[1] == 1:
+        _kernels().csr_matvec(*L.shape, L.indptr, L.indices, L.data, X.ravel(), out.ravel())
+    else:
+        _kernels().csr_matvecs(*L.shape, X.shape[1], L.indptr, L.indices, L.data, X.ravel(), out.ravel())
+    return out
+
+
+def _kernels() -> ModuleType:
+    """scipy's compiled sparse kernels (scipy.sparse._sparsetools), loaded once per
+    process from their file, without importing the scipy or scipy.sparse packages."""
+    name = "scipy.sparse._sparsetools"
+    if name not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")  # locates scipy without importing it
+        if scipy is None:
+            raise ImportError(f"{name} needs scipy, which is not installed", name=name)
+        where = os.path.join(scipy.submodule_search_locations[0], "sparse")
+        spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+        if spec is None:
+            raise ImportError(f"no extension file for {name} in {where}", name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
 
 
 def _coldot(A, B) -> np.ndarray:

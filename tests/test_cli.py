@@ -558,16 +558,21 @@ report["verify"] = [main(["verify", edges, seeds, "--node", "nope", "--walks", "
 report["detect, zero affinities"] = [main(["detect", wide_edges, zero_seeds, "--jobs", "1", "--out", out + "-z"]),
                                     loaded()]
 report["detect --jobs 2"] = [main(["detect", wide_edges, wide_seeds, "--jobs", "2", "--out", out + "-j2"]), loaded()]
-report["detect --jobs 1"] = [main(["detect", wide_edges, wide_seeds, "--jobs", "1", "--out", out + "-j1"]),
-                             "scipy.sparse" in loaded()]
+report["detect --jobs 1"] = [main(["detect", wide_edges, wide_seeds, "--jobs", "1", "--out", out + "-j1"]), loaded()]
+argv = ["sweep", "--n", "200", "--avg-k", "10", "--mu", "0.2", "--sigma", "0.1", "--trials", "1", "--rng-seed", "1"]
+report["sweep --jobs 1"] = [main(argv + ["--jobs", "1", "--out", out + "-sweep.csv"]), loaded()]
+argv = ["histogram", out + ".edges", out + ".truth", "--sigma", "0.1", "--runs", "2", "--rng-seed", "1"]
+report["histogram --jobs 1"] = [main(argv + ["--jobs", "1", "--out", out + "-hist.csv"]), loaded()]
 print(json.dumps(report))
 """
 
 
 def test_cli_import_leaves_out_dense_linear_algebra(fig_files, tmp_path):
-    # scipy loads at the first solve block: importing the CLI, generating, an
-    # input error, a detect whose seed affinities are all zero (no block) and
-    # a pooled detect parent never load any of it
+    # scipy's compiled sparse kernel loads at the first solve block, and no
+    # command imports the scipy or scipy.sparse packages: importing the CLI,
+    # generating, an input error, a detect whose seed affinities are all zero
+    # (no block) and a pooled detect parent load none of scipy, and a serial
+    # detect, sweep or histogram loads only the kernel extension
     import seedwalk
 
     src = str(Path(seedwalk.__file__).resolve().parents[1])
@@ -585,8 +590,10 @@ def test_cli_import_leaves_out_dense_linear_algebra(fig_files, tmp_path):
             str(wide_edges), str(wide_seeds), str(zero_seeds)]
     proc = subprocess.run(argv, check=True, capture_output=True, text=True)
     report = json.loads(proc.stdout.splitlines()[-1])
+    kernel = ["scipy.sparse._sparsetools"]
     assert report == {"import": [], "generate": [0, []], "verify": [64, []], "detect, zero affinities": [0, []],
-                      "detect --jobs 2": [0, []], "detect --jobs 1": [0, True]}
+                      "detect --jobs 2": [0, []], "detect --jobs 1": [0, kernel], "sweep --jobs 1": [0, kernel],
+                      "histogram --jobs 1": [0, kernel]}
     zero = list(csv.reader(io.StringIO((tmp_path / "gen-z.affinity.csv").read_text())))
     assert len(zero) == n + 1 and all(len(row) == l + 1 for row in zero)
     assert {float(x) for row in zero[1:] for x in row[1:]} == {0.0}

@@ -1,6 +1,12 @@
 import dataclasses
+import importlib.machinery
+import importlib.util
 import io
+import json
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,6 +412,58 @@ def test_assembled_systems_are_sdd():
         assert (system.diag >= offdiag_rowsum).all()
         # strict somewhere: at least one transient node borders a seed
         assert (system.diag > offdiag_rowsum).any()
+
+
+@pytest.mark.parametrize("kind", ["indicator", "fuzzy"])
+def test_kernel_product_is_the_scipy_matrix_product_bitwise(kind):
+    # a solve calls scipy's private CSR kernel without csr_matrix (checked on
+    # scipy 1.17.1): its products must stay those of system.matrix() @ X, bit
+    # for bit, on one column, on several, and across more than one block width
+    rng = np.random.default_rng(59)
+    for n in (4, 60, 400):
+        g = random_connected_graph(rng, n)
+        ids = np.sort(rng.choice(n, size=max(1, n // 8), replace=False))
+        fuzzy = rng.random((ids.size, 3)) * (rng.random((ids.size, 3)) < 0.7)
+        rows = np.eye(ids.size) if kind == "indicator" else fuzzy
+        system = assemble(build_chain(g, ids), SeedSet(ids, rows))
+        # the arrays as _solve_block passes them
+        L = system.laplacian._replace(indptr=system.laplacian.indptr.astype(np.int32))
+        for k in (1, 2, 16, 33):
+            X = rng.standard_normal((system.dim, k)) * 10.0 ** rng.integers(-150, 150, (system.dim, k))
+            product, expected = solver._matmul(L, X), system.matrix() @ X
+            assert product.shape == expected.shape == (system.dim, k)
+            assert product.tobytes() == expected.tobytes()
+
+
+def test_a_missing_kernel_file_is_an_import_error(monkeypatch, tmp_path):
+    # no fallback to importing scipy.sparse: the error names the file it sought
+    scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools", raising=False)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
+    with pytest.raises(ImportError, match=r"scipy\.sparse\._sparsetools in .*sparse"):
+        solver._kernels()
+
+
+KERNEL_PROBE = """
+import json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from seedwalk import Graph, SeedSet, detect_multi
+n = 60
+g = Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)] + [(v, (v + 7) % n) for v in range(n)])
+ids = np.array([0, 20, 40])
+aff = detect_multi(g, SeedSet(ids, np.random.default_rng(1).random((3, 20))), jobs=1)
+print(json.dumps([bool(aff.values.any()), sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")]))
+"""
+
+
+def test_serial_solve_loads_only_the_kernel_extension():
+    # a serial detect_multi solves in-process, with scipy's compiled kernel
+    # alone: neither the scipy nor the scipy.sparse package is imported
+    src = str(Path(solver.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", KERNEL_PROBE, src], check=True, capture_output=True, text=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [True, ["scipy.sparse._sparsetools"]]
 
 
 def test_maximum_principle():
