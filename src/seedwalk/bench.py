@@ -8,12 +8,17 @@ wrong; the run still counts, and its record says how many communities the
 seeds missed.
 
 Sweep trials and histogram re-samples run through one runner. ``_run``
-times one run: for a sweep trial it first generates the graph, then it
-samples seeds, detects, assigns and scores. It records a ``SeedwalkError``
-in the run's ``TrialResult`` instead of raising it. ``pool_map`` runs them
-serially or in a process pool; the re-samples' graph goes to each worker
-once. Every run draws its randomness from its own (rng seed, index)
-substream, so results are independent of execution order and worker count.
+times one run on a given graph: it samples seeds, detects, assigns and
+scores, and records a ``SeedwalkError`` in the run's ``TrialResult``
+instead of raising it. The graph depends only on the generator parameters,
+so a sweep groups its cells by equal ``LfrParams``: ``run_trial`` generates
+trial t's graph once per group, from the (rng seed, first cell, t)
+substream, and runs it at the σ of every cell in the group, each drawing
+its seeds from its own (rng seed, cell, t, 1) substream. ``pool_map`` runs
+these (group, trial) tasks, or the re-samples, serially or in a process
+pool; the re-samples' graph goes to each worker once. Every draw comes from
+a substream of its own, so results are independent of execution order and
+worker count.
 """
 
 from __future__ import annotations
@@ -32,8 +37,9 @@ from .pool import pool_map
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One run: a sweep trial on its own generated graph (params set), or a
-    seed re-sample on a fixed graph (params None)."""
+    """One run: a sweep trial (params set: the generator parameters with the
+    rng seed of its graph, which every sigma of those params scores at that
+    trial index), or a seed re-sample on a fixed graph (params None)."""
 
     params: LfrParams | None
     sigma: float
@@ -77,29 +83,43 @@ def _derived_seed(master: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _run(source: LfrParams | PlantedGraph, sigma: float, index: int, master_seed: int, key: tuple) -> TrialResult:
-    """Generate (if source is LfrParams), sample seeds from the `key`
-    substream, detect, assign, score. Failures are recorded, not raised."""
-    params = source if isinstance(source, LfrParams) else None
+def _run(pg: PlantedGraph, sigma: float, index: int, master_seed: int, key: tuple) -> TrialResult:
+    """Sample seeds from the `key` substream, detect, assign and score on pg,
+    timed. Failures are recorded, not raised."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=key))
-    q, uncovered, failure, mixing, attempts = float("nan"), [], None, float("nan"), 0
+    q, uncovered, failure = float("nan"), [], None
     start = perf_counter()
     try:
-        pg = source if params is None else generate(params)
-        if params is not None:
-            mixing, attempts = mixing_fraction(pg), pg.attempts
         seeds, uncovered = sample_seeds(pg, sigma, rng)
         q = membership_quality(pg, assign_crisp(detect_multi(pg.graph, seeds)))
     except SeedwalkError as exc:
         failure = exc.with_traceback(None)  # its frames would keep the failed run's graph alive
-    seconds = perf_counter() - start
-    return TrialResult(params, sigma, index, q, seconds, len(uncovered), failure, mixing, attempts)
+    return TrialResult(None, sigma, index, q, perf_counter() - start, len(uncovered), failure)
 
 
-def run_trial(params: LfrParams, sigma: float, cell_index: int, trial_index: int, master_seed: int) -> TrialResult:
-    """One sweep trial: a graph from the (master_seed, cell, trial) substream, then `_run`."""
-    graph_params = replace(params, rng_seed=_derived_seed(master_seed, cell_index, trial_index))
-    return _run(graph_params, sigma, trial_index, master_seed, (cell_index, trial_index, 1))
+def run_trial(
+    params: LfrParams, cells: Sequence[tuple[int, float]], trial_index: int, master_seed: int
+) -> list[TrialResult]:
+    """Trial trial_index of the (cell index, sigma) cells that share params,
+    one record per cell in the given order.
+
+    One graph, from the (master_seed, first cell, trial) substream, is
+    generated and then run at each sigma by `_run`. Its generation seconds are
+    split evenly among the records, and its realized mixing and attempts are
+    copied to each; a GenerationError is recorded in each.
+    """
+    graph_params = replace(params, rng_seed=_derived_seed(master_seed, cells[0][0], trial_index))
+    start = perf_counter()
+    try:
+        pg = generate(graph_params)
+    except SeedwalkError as exc:
+        failure = exc.with_traceback(None)
+        share = (perf_counter() - start) / len(cells)
+        return [TrialResult(graph_params, sigma, trial_index, float("nan"), share, 0, failure) for _, sigma in cells]
+    shared = dict(params=graph_params, mixing=mixing_fraction(pg), attempts=pg.attempts)
+    share = (perf_counter() - start) / len(cells)
+    runs = [_run(pg, sigma, trial_index, master_seed, (ci, trial_index, 1)) for ci, sigma in cells]
+    return [replace(r, seconds=r.seconds + share, **shared) for r in runs]
 
 
 def run_sweep(
@@ -108,12 +128,23 @@ def run_sweep(
     rng_seed: int,
     jobs: int = 1,
 ) -> tuple[list[TrialResult], list[CellSummary]]:
-    """All trials for every (params, sigma) cell, cell by cell, optionally in
-    parallel; deterministic under rng_seed regardless of jobs."""
+    """All trials for every (params, sigma) cell, optionally in parallel;
+    deterministic under rng_seed regardless of jobs.
+
+    Cells with equal params share trial t's graph (see `run_trial`); the
+    first cell of each params gets the records it would get if no other cell
+    shared them. The records come cell by cell, trials in order.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    tasks = [(params, sigma, ci, ti, rng_seed) for ci, (params, sigma) in enumerate(cells) for ti in range(trials)]
-    results = list(pool_map(run_trial, tasks, jobs))
+    groups: dict[LfrParams, list[tuple[int, float]]] = {}
+    for ci, (params, sigma) in enumerate(cells):
+        groups.setdefault(params, []).append((ci, sigma))
+    tasks = [(params, group, ti, rng_seed) for params, group in groups.items() for ti in range(trials)]
+    results: list[TrialResult] = [None] * (len(cells) * trials)
+    for (_, group, ti, _), records in zip(tasks, pool_map(run_trial, tasks, jobs)):
+        for (ci, _), r in zip(group, records):
+            results[ci * trials + ti] = r
     summaries = [
         _summarize(params, sigma, results[ci * trials : (ci + 1) * trials]) for ci, (params, sigma) in enumerate(cells)
     ]

@@ -10,8 +10,9 @@ dominant (a row restricted to some columns has no more entries than the
 whole row), strictly so wherever a transient node borders a seed. One matrix
 and one Jacobi preconditioner serve all l communities. The right-hand sides
 stay sparse (most transient nodes border no seed) and are solved by
-preconditioned conjugate gradient in balanced blocks of at most BLOCK
-columns, in up to `jobs` worker processes; each block densifies only its own
+preconditioned conjugate gradient in balanced blocks: of at most BLOCK
+columns in up to `jobs` worker processes, or, in one process, of as many as
+keep one working array within BLOCK_BYTES. Each block densifies only its own
 columns, and its solution is written straight into the caller's array.
 
 Every column comes out bit-identical to a solve of it alone, because every
@@ -52,12 +53,19 @@ if TYPE_CHECKING:
     import scipy.sparse
 
 DEFAULT_TOL = 1e-8
-# the widest block of right-hand sides solved together, in any process: wide enough
-# to amortize the sparse matvec's pass over the matrix, small enough to bound each
-# process's working memory at O(dim * BLOCK) whatever the number of communities.
+# the widest block of right-hand sides a pooled solve hands a worker, and the
+# narrowest in one process: wide enough to amortize the sparse matvec's pass over
+# the matrix, small enough to bound each process's working memory at
+# O(dim * BLOCK) whatever the number of communities.
 # Sparse matvec cost per column at dim 9,000 (2 vCPUs): 0.14 ms at 8 columns,
 # 0.09-0.11 ms at 16, 0.09-0.13 ms at 32; 16 holds half the memory of 32
 BLOCK = 16
+# a solve in one process widens its blocks while one dim x width working array
+# stays within this many bytes, as a small system pays a fixed Python cost per
+# block and PCG iteration: an N=1000 graph (dim 900, l 33) solves in one block,
+# detect_wide (dim 9,000) in blocks of BLOCK. A pooled solve keeps BLOCK columns,
+# so its tasks do not depend on whether one process could hold them all
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -84,7 +92,7 @@ class Compressed(NamedTuple):
 class AbsorbingSystem:
     """The assembled system: D - A_TT (the transient block of the graph
     Laplacian) in CSR arrays, its diagonal D and all l right-hand sides
-    A_TS beta as dim x l CSC arrays b. A solve densifies at most BLOCK
+    A_TS beta as dim x l CSC arrays b. A solve densifies one block's
     columns of b at a time."""
 
     laplacian: Compressed
@@ -183,7 +191,11 @@ def solve_iterative_all(
     out: np.ndarray | None = None,
     rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[SolveReport]]:
-    """PCG over many right-hand sides in blocks of at most BLOCK columns, in up to `jobs` processes.
+    """PCG over many right-hand sides in balanced blocks, in up to `jobs` processes.
+
+    A block holds at most BLOCK columns when jobs > 1; in one process it
+    holds up to max(BLOCK, BLOCK_BYTES // (8 * dim)), so a small system is
+    one block. The grouping changes no bit of any column.
 
     A column converges when its true relative residual ||(D-A)x - b|| / ||b||
     is at most tol; on budget exhaustion its last iterate is returned with
@@ -206,8 +218,9 @@ def solve_iterative_all(
     b = system.b
     squares = np.bincount(np.repeat(np.arange(b.shape[1]), np.diff(b.indptr)), b.data * b.data, b.shape[1])
     live = np.flatnonzero(squares > 0)
-    # ceil(live / BLOCK) balanced blocks, rounded up to a multiple of the workers used
-    blocks = -(-live.size // BLOCK)
+    # ceil(live / width) balanced blocks, rounded up to a multiple of the workers used
+    width = BLOCK if jobs > 1 else max(BLOCK, BLOCK_BYTES // (8 * max(system.dim, 1)))
+    blocks = -(-live.size // width)
     jobs = min(max(jobs, 1), blocks)
     tasks = [(cols, tol, max_iter) for cols in np.array_split(live, -(-blocks // jobs) * jobs)] if blocks else []
     for cols, x, n, r in pool_map(_solve_block, tasks, jobs, shared=(system,)):

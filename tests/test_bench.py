@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seedwalk import GenerationError, LfrParams, ReachabilityError, load_edge_list, run_sweep, seed_resample_qualities
+from seedwalk import bench
 from seedwalk.bench import (
     histogram,
     membership_quality,
@@ -76,8 +77,12 @@ def test_sweep_requires_trials():
 
 
 def _all_but_seconds(records):
-    # a failed run's Q is nan, which equals nothing, so compare it as text
-    return [(r.params, r.sigma, r.trial_index, repr(r.q), r.uncovered, repr(r.failure)) for r in records]
+    # a failed run's Q (and any run's mixing but a sweep trial's) is nan, which
+    # equals nothing, so compare it as text
+    return [
+        (r.params, r.sigma, r.trial_index, repr(r.q), r.uncovered, repr(r.failure), repr(r.mixing), r.attempts)
+        for r in records
+    ]
 
 
 def test_seed_resamples_requires_runs():
@@ -86,15 +91,32 @@ def test_seed_resamples_requires_runs():
 
 
 def test_sweep_deterministic_across_workers():
+    # the first and last cells share their params, and so each trial's graph
     cells = [
         (LfrParams(n=250, avg_k=12, gamma=2.0, beta_exp=2.0, mu=0.2), 0.15),
         (LfrParams(n=250, avg_k=12, gamma=2.0, beta_exp=2.0, mu=0.5), 0.15),
+        (LfrParams(n=250, avg_k=12, gamma=2.0, beta_exp=2.0, mu=0.2), 0.3),
     ]
     r1, s1 = run_sweep(cells, trials=4, rng_seed=13, jobs=1)
     r2, s2 = run_sweep(cells, trials=4, rng_seed=13, jobs=2)
     assert [t.q for t in r1] == [t.q for t in r2]
     assert _all_but_seconds(r1) == _all_but_seconds(r2)  # failure and uncovered included
     assert [c.q_mean for c in s1] == [c.q_mean for c in s2]
+    assert [(t.sigma, t.trial_index) for t in r1] == [(c[1], t) for c in cells for t in range(4)]
+
+
+def test_sigma_cells_of_the_same_params_share_each_trial_graph():
+    params = LfrParams(n=200, avg_k=10, gamma=2.0, beta_exp=2.0, mu=0.3)
+    alone, _ = run_sweep([(params, 0.1)], trials=3, rng_seed=4)
+    both, _ = run_sweep([(params, 0.1), (params, 0.2)], trials=3, rng_seed=4)
+    # adding a sigma leaves the first cell's records as they were
+    assert _all_but_seconds(both[:3]) == _all_but_seconds(alone)
+    # the second cell runs trial t on the first cell's trial-t graph: its
+    # generator seed, realized mixing and attempts, with seeds of its own
+    first, second = both[:3], both[3:]
+    assert [(r.params, r.mixing, r.attempts) for r in second] == [(r.params, r.mixing, r.attempts) for r in first]
+    assert len({r.params.rng_seed for r in first}) == 3  # one graph per trial
+    assert all(r.ok and r.sigma == 0.2 for r in second)
 
 
 def _split_graph():
@@ -123,9 +145,9 @@ def test_uncovered_community_is_recorded_and_scored_as_wrong():
         assert r.q == 0.5
 
 
-def test_trial_records_generation_failure():
+def test_trial_records_generation_failure(monkeypatch):
     bad = LfrParams(n=500, avg_k=200, gamma=2.0, beta_exp=2.0, mu=0.2)
-    result = run_trial(bad, 0.1, 0, 0, master_seed=0)
+    [result] = run_trial(bad, [(0, 0.1)], 0, master_seed=0)
     assert not result.ok
     assert isinstance(result.failure, GenerationError)
     assert np.isnan(result.q)
@@ -133,6 +155,15 @@ def test_trial_records_generation_failure():
     _, [summary] = run_sweep([(bad, 0.1)], trials=2, rng_seed=0)
     assert summary.failures == 2
     assert summary.mixing_mean is None and summary.attempts_mean is None
+    # a graph that two sigma cells share fails once per trial, and that failure
+    # is recorded in both cells
+    calls = []
+    monkeypatch.setattr(bench, "generate", lambda params: calls.append(params) or generate(params))
+    records, summaries = run_sweep([(bad, 0.1), (bad, 0.2)], trials=2, rng_seed=0)
+    assert len(calls) == 2
+    assert [s.failures for s in summaries] == [2, 2]
+    assert all(isinstance(r.failure, GenerationError) and np.isnan(r.q) for r in records)
+    assert [r.params for r in records[2:]] == [r.params for r in records[:2]] == calls
 
 
 def test_seed_resample_deterministic_and_binnable():

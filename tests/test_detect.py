@@ -16,7 +16,7 @@ from seedwalk import (
     load_edge_list,
     run_walks,
 )
-from seedwalk import detect
+from seedwalk import detect, solver
 from seedwalk.detect import AffinityMatrix, write_affinity_csv, write_crisp_csv
 from seedwalk.solver import BLOCK, SolveReport
 
@@ -82,12 +82,13 @@ def test_linearity_in_seed_affinities(fig_graph):
     assert np.abs(ac - (alpha * a1 + gamma * a2)).max() <= 1e-6
 
 
-def test_detect_holds_the_answer_plus_one_block():
+def test_detect_holds_the_answer_plus_one_block(monkeypatch):
     # each solved block goes straight into the n x l result, so the peak is
     # that array plus one block's PCG working set (about ten dim x BLOCK
     # arrays), never a whole dim x l solution or right-hand side beside it
     g, seeds = one_seed_per_community(np.random.default_rng(41), 3000, 600)
     dim = g.n - len(seeds)
+    monkeypatch.setattr(solver, "BLOCK_BYTES", 0)  # blocks of BLOCK columns, as pooled
     tracemalloc.start()
     try:
         detect_multi(g, seeds, jobs=1)

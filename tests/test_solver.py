@@ -224,9 +224,10 @@ def _multi_block_system():
     return assemble(build_chain(g, seeds.ids), seeds)
 
 
-def test_blocked_solve_matches_single_columns_bitwise():
+def test_blocked_solve_matches_single_columns_bitwise(monkeypatch):
     # every column must equal the solve of a system holding that column
-    # alone, bit for bit
+    # alone, bit for bit; no block budget, so the solve runs three blocks
+    monkeypatch.setattr(solver, "BLOCK_BYTES", 0)
     system = _multi_block_system()
     X, reports = solve_iterative_all(system)
     for j in range(system.communities):
@@ -234,6 +235,24 @@ def test_blocked_solve_matches_single_columns_bitwise():
         assert np.array_equal(x[:, 0], X[:, j])
         assert report == reports[j]
     assert reports[BLOCK - 1].iterations == 0
+
+
+def test_a_solve_in_one_process_widens_its_blocks_to_the_byte_budget(monkeypatch):
+    # 38 live columns at dim 270: one block within 1 MiB, blocks of at most
+    # 20 columns within a 20-column budget, and of at most BLOCK without one
+    system = _multi_block_system()
+    widths, solve_block = [], solver._solve_block
+
+    def counted(system, cols, *rest):
+        widths.append(cols.size)
+        return solve_block(system, cols, *rest)
+
+    monkeypatch.setattr(solver, "_solve_block", counted)
+    for budget, expected in ((solver.BLOCK_BYTES, [38]), (8 * system.dim * 20, [19, 19]), (0, [13, 13, 12])):
+        monkeypatch.setattr(solver, "BLOCK_BYTES", budget)
+        widths.clear()
+        solve_iterative_all(system)
+        assert widths == expected
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
@@ -255,6 +274,7 @@ def test_solve_is_bitwise_independent_of_block_width(monkeypatch):
     ids = np.sort(rng.choice(g.n, size=40, replace=False))
     seeds = SeedSet(ids, rng.random((ids.size, 41)))
     system = assemble(build_chain(g, seeds.ids), seeds)
+    monkeypatch.setattr(solver, "BLOCK_BYTES", 0)  # so the width is BLOCK's
     results = []
     for width in (7, 16, 32):
         monkeypatch.setattr(solver, "BLOCK", width)
@@ -327,7 +347,9 @@ def test_multi_block_solve_properties(seed, n, stochastic):
         rows /= rows.sum(axis=1, keepdims=True)
     seeds = SeedSet(ids, rows)
     system = assemble(build_chain(g, seeds.ids), seeds)
-    X, reports = solve_iterative_all(system, tol=1e-12)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "BLOCK_BYTES", 0)  # BLOCK + 5 columns in two blocks
+        X, reports = solve_iterative_all(system, tol=1e-12)
     for j in range(system.communities):
         x, (report,) = solve_iterative_all(dataclasses.replace(system, b=_column(system.b, j)), tol=1e-12)
         assert np.array_equal(x[:, 0], X[:, j])
@@ -357,6 +379,7 @@ def test_a_block_restarts_from_its_current_iterate(monkeypatch):
         pcg(L, diag, B, X, used, cols, tol if restarted[-1] else 1e4 * tol, max_iter)
 
     monkeypatch.setattr(solver, "_pcg", loose_first_pass)
+    monkeypatch.setattr(solver, "BLOCK_BYTES", 0)  # BLOCK + 4 columns in two blocks
     forced, reports = solve_iterative_all(system, tol=tol)
     assert restarted.count(False) == 2 and any(restarted)
     assert all(r.converged and r.relative_residual <= tol for r in reports)
