@@ -14,6 +14,9 @@ import numpy as np
 
 from .errors import ParseError
 
+# lines joined into one string per write by write_edge_list and lfr.write_truth
+LINES_PER_WRITE = 1 << 16
+
 
 class Graph:
     """Immutable undirected simple graph.
@@ -172,11 +175,16 @@ def load_edge_list(source: str | Path | IO[str] | Iterable[str]) -> Graph:
 
 
 def write_edge_list(g: Graph, stream: IO[str]) -> None:
-    """Write each undirected edge once (lower internal id first)."""
+    """Write each undirected edge once (lower internal id first), one
+    joined string per LINES_PER_WRITE lines."""
     u = g.sources()
     mask = u < g.targets
-    for a, b in zip(u[mask], g.targets[mask]):
-        stream.write(f"{g.labels[a]} {g.labels[b]}\n")
+    lo, hi = u[mask], g.targets[mask]
+    heads = np.array([f"{label} " for label in g.labels], dtype=object)
+    tails = np.array([f"{label}\n" for label in g.labels], dtype=object)
+    for i in range(0, lo.size, LINES_PER_WRITE):
+        block = slice(i, i + LINES_PER_WRITE)
+        stream.write("".join(np.stack([heads[lo[block]], tails[hi[block]]], axis=1).ravel().tolist()))
 
 
 def check_seed_reachability(g: Graph, seeds: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import GenerationError, ParseError
-from .graph import Graph, load_edge_list, read_records
+from .graph import LINES_PER_WRITE, Graph, load_edge_list, read_records
 from .seeds import SeedSet
 
 _MAX_ATTEMPTS = 30
@@ -480,9 +480,10 @@ def mixing_fraction(pg: PlantedGraph) -> float:
 
 def write_truth(pg: PlantedGraph, stream: IO[str]) -> None:
     """Ground truth as `node community` lines."""
-    g = pg.graph
-    for v in range(g.n):
-        stream.write(f"{g.labels[v]} {int(pg.membership[v])}\n")
+    labels, comms = pg.graph.labels, pg.membership.tolist()
+    for i in range(0, len(labels), LINES_PER_WRITE):
+        block = zip(labels[i : i + LINES_PER_WRITE], comms[i : i + LINES_PER_WRITE])
+        stream.write("".join([f"{label} {c}\n" for label, c in block]))
 
 
 def load_planted(edge_source, truth_source: str | Path | IO[str] | Iterable[str]) -> PlantedGraph:

@@ -69,7 +69,7 @@ def load_seed_file(source: str | Path | IO[str] | Iterable[str], g: Graph) -> Se
             raise ParseError(f"line {lineno}: affinity {aff} outside [0, 1]")
         if (node, comm) in triples:
             raise ParseError(f"line {lineno}: duplicate entry for node {lab!r}, community {comm}")
-        triples[(node, comm)] = aff
+        triples[(node, comm)] = aff + 0.0  # -0 is stored as 0, so no output shows its sign
         max_comm = max(max_comm, comm)
 
     if not triples:

@@ -1,9 +1,12 @@
 import io
 import pickle
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seedwalk import (
     Graph,
@@ -14,6 +17,7 @@ from seedwalk import (
     detect_multi,
     estimate_affinity,
     load_edge_list,
+    load_seed_file,
     run_walks,
 )
 from seedwalk import detect, solver
@@ -292,8 +296,9 @@ def test_affinity_csv_chunks_carry_only_their_rows(monkeypatch):
 
 def test_affinity_csv_holds_one_chunk_at_a_time():
     # 256 rows of 2,000 affinities: a chunk is 32 rows, and per value the writer
-    # holds a clipped float, a Python float with its list slot and about two
-    # copies of its text, so the peak is bounded by CHUNK alone, not by n x l
+    # holds a 16-byte text cell beside either about 28 bytes of numeric work
+    # arrays or the cell's 16-byte keep mask and the kept text, then the text
+    # twice, so the peak is bounded by CHUNK alone, not by n x l
     class Discard:
         def write(self, text):
             pass
@@ -312,6 +317,63 @@ def test_affinity_csv_holds_one_chunk_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 96 * detect.CHUNK
+
+
+# every 10**-k down to the smallest subnormal decade, with both neighbours
+POWERS = [y for k in range(325) for x in [float(f"1e-{k}")] for y in (np.nextafter(x, 0.0), x, np.nextafter(x, 1.0))]
+# the double nearest a 9-digit half: (d + 1/2) * 10**e, and binary fractions that are exact ties
+TIES = st.one_of(
+    st.builds(lambda d, e: (d + 0.5) * 10.0**e, st.integers(10**8, 10**9 - 1), st.integers(-307, -9)),
+    st.builds(lambda k, j: k / 2.0**j, st.integers(1, 2**20), st.integers(0, 40)),
+)
+AFFINITY = st.one_of(
+    st.floats(),  # NaN, infinities, subnormals, -0.0 and values far outside [0, 1]
+    st.floats(0.0, 1.0),
+    st.floats(-330.0, 0.0).map(lambda t: 10.0**t),
+    st.sampled_from(POWERS),
+    TIES,
+)
+LABEL = st.text(st.one_of(st.sampled_from(',"é€λ'), st.characters(codec="utf-8")), min_size=1, max_size=6)
+
+
+def _rfc4180(label):
+    return '"' + label.replace('"', '""') + '"' if "," in label or '"' in label else label
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(AFFINITY, min_size=1, max_size=120), st.integers(1, 4), st.lists(LABEL, min_size=1, max_size=5))
+@example(
+    [0.0, -0.0, np.nan, np.inf, -np.inf, -1.0, 2.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-299,
+     103 / 1024, 0.5, 1 / 3, 9.9999999995e-5, 9.99999999949e-5, 0.99999999995, 0.9999999995, 1e-100,
+     9.999999999e-100, 1.234567885e-7] + POWERS,
+    3,
+    ['x,"y', "ünï,cødé", "€", "λ"],
+)
+def test_affinity_csv_is_per_value_g9_of_the_clipped_values(values, l, names):
+    n = -(-len(values) // l)
+    values = np.array(values + [0.0] * (n * l - len(values))).reshape(n, l)
+    labels = [names[v % len(names)] for v in range(n)]
+    g = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)], labels)
+    aff = AffinityMatrix(values, np.arange(n))
+    expected = "node," + ",".join(f"c{i}" for i in range(l)) + "\n" + "".join(
+        _rfc4180(label) + "".join(f",{x:.9g}" for x in row) + "\n"
+        for label, row in zip(labels, np.clip(values, 0.0, 1.0).tolist())
+    )
+    # one row per chunk, a few rows per chunk, and every row in one chunk
+    for chunk in (1, 3 * l, detect.CHUNK):
+        buf = io.StringIO()
+        with mock.patch.object(detect, "CHUNK", chunk):
+            write_affinity_csv(aff, g, buf)
+        assert buf.getvalue() == expected
+
+
+def test_seed_affinity_written_negative_zero_is_written_as_zero():
+    g = load_edge_list(io.StringIO("a b\nb c\nc d\n"))
+    seeds = load_seed_file(io.StringIO("a 0 1\nd 1 1\na 1 -0\n"), g)
+    assert not np.signbit(seeds.rows).any()
+    buf = io.StringIO()
+    write_affinity_csv(detect_multi(g, seeds), g, buf)
+    assert "\na,1,0\n" in buf.getvalue()
 
 
 def test_crisp_csv_format(fig_graph, fig_seeds):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seedwalk import GenerationError, LfrParams, ParseError, generate, lfr, mixing_fraction, sample_seeds
-from seedwalk.graph import load_edge_list, write_edge_list
+from seedwalk.graph import LINES_PER_WRITE, Graph, load_edge_list, write_edge_list
 from seedwalk.lfr import PlantedGraph, internal_degree, load_planted, sample_power_law, write_truth
 
 from conftest import labelled_edges, random_connected_graph
@@ -445,6 +445,32 @@ def test_truth_round_trip(tmp_path):
     by_label_load = {loaded.graph.labels[v]: int(loaded.membership[v]) for v in range(loaded.graph.n)}
     assert by_label_orig == by_label_load
     assert sorted(loaded.sizes) == sorted(pg.sizes)
+
+
+def test_edge_list_and_truth_text_match_per_line_writes():
+    # 70,000 labelled nodes on a path with chords: both files span two
+    # LINES_PER_WRITE blocks, each written with one call
+    k = 70_000
+    rng = np.random.default_rng(5)
+    chords = rng.integers(0, k, size=(5_000, 2))
+    chords = chords[chords[:, 0] != chords[:, 1]]
+    g = Graph.from_edges(k, np.vstack([np.c_[np.arange(k - 1), np.arange(1, k)], chords]),
+                         [f"n{v}é" for v in rng.permutation(k)])
+    pg = PlantedGraph(graph=g, membership=rng.integers(0, 300, size=k), sizes=[])
+    u = g.sources()
+    mask = u < g.targets
+    lines = {
+        "edges": [f"{g.labels[a]} {g.labels[b]}\n" for a, b in zip(u[mask], g.targets[mask])],
+        "truth": [f"{g.labels[v]} {int(pg.membership[v])}\n" for v in range(k)],
+    }
+    assert min(map(len, lines.values())) > LINES_PER_WRITE
+    for name, dump in (("edges", lambda out: write_edge_list(g, out)), ("truth", lambda out: write_truth(pg, out))):
+        out = io.StringIO()
+        calls = []
+        out.write = lambda text, write=out.write: calls.append(write(text))
+        dump(out)
+        assert out.getvalue() == "".join(lines[name])
+        assert len(calls) == -(-len(lines[name]) // LINES_PER_WRITE)
 
 
 def test_truth_file_node_listed_twice_rejected():
