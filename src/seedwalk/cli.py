@@ -26,8 +26,9 @@ import sys
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import IO
 
-from . import __version__, bench, lfr, walker
+from . import __version__, bench, lfr, solver, walker
 from .detect import detect_multi, write_affinity_csv, write_crisp_csv
 from .errors import ConvergenceError, GenerationError, ParseError, ReachabilityError, SeedwalkError
 from .graph import load_edge_list, write_edge_list
@@ -54,7 +55,7 @@ EXIT_CODES = {
 }
 
 
-def _write_manifest(path: Path, subcommand: str, args: argparse.Namespace, extra: dict | None = None) -> None:
+def _write_manifest(fh: IO[str], subcommand: str, args: argparse.Namespace, extra: dict | None = None) -> None:
     flags = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
         "subcommand": subcommand,
@@ -65,9 +66,8 @@ def _write_manifest(path: Path, subcommand: str, args: argparse.Namespace, extra
     }
     if extra:
         manifest.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
+    fh.write("\n")
 
 
 def _failure_report(records: list[bench.TrialResult]) -> dict:
@@ -107,20 +107,24 @@ def cmd_detect(args) -> int:
     crisp_path = Path(prefix + ".crisp.csv")
     manifest_path = Path(prefix + ".manifest.json")
     _refuse_input_overwrite([affinity_path, crisp_path, manifest_path], args.edges, args.seeds)
-    with _csv_out(affinity_path) as affinity_fh, _csv_out(crisp_path) as crisp_fh:
+    with (
+        _csv_out(affinity_path) as affinity_fh,
+        _csv_out(crisp_path) as crisp_fh,
+        _csv_out(manifest_path) as manifest_fh,
+    ):
         g = load_edge_list(args.edges)
         seeds = load_seed_file(args.seeds, g)
         aff = detect_multi(g, seeds, tol=args.tol, jobs=args.jobs)
         write_affinity_csv(aff, g, affinity_fh, jobs=args.jobs)
         write_crisp_csv(aff, g, crisp_fh)
-    extra = {
-        "input": {"n": g.n, "m": g.m, "duplicates_collapsed": g.duplicates_collapsed},
-        "inputs": [str(args.edges), str(args.seeds)],
-        "outputs": [str(affinity_path), str(crisp_path)],
-        "solver_iterations": [r.iterations for r in aff.reports],
-        "solver_residuals": [r.relative_residual for r in aff.reports],
-    }
-    _write_manifest(manifest_path, "detect", args, extra)
+        extra = {
+            "input": {"n": g.n, "m": g.m, "duplicates_collapsed": g.duplicates_collapsed},
+            "inputs": [str(args.edges), str(args.seeds)],
+            "outputs": [str(affinity_path), str(crisp_path)],
+            "solver_iterations": [r.iterations for r in aff.reports],
+            "solver_residuals": [r.relative_residual for r in aff.reports],
+        }
+        _write_manifest(manifest_fh, "detect", args, extra)
     if args.verbose:
         print(f"{g.n} nodes, {g.m} edges, {len(seeds)} seeds, {seeds.l} communities")
         for i, r in enumerate(aff.reports):
@@ -149,29 +153,33 @@ def cmd_generate(args) -> int:
     prefix = str(args.out)
     edges_path = Path(prefix + ".edges")
     truth_path = Path(prefix + ".truth")
-    with _csv_out(edges_path) as edges_fh, _csv_out(truth_path) as truth_fh:
+    with (
+        _csv_out(edges_path) as edges_fh,
+        _csv_out(truth_path) as truth_fh,
+        _csv_out(Path(prefix + ".manifest.json")) as manifest_fh,
+    ):
         pg = lfr.generate(params)
         write_edge_list(pg.graph, edges_fh)
         lfr.write_truth(pg, truth_fh)
-    k_min, k_max, s_min, s_max = params.resolved_bounds()
-    _write_manifest(
-        Path(prefix + ".manifest.json"),
-        "generate",
-        args,
-        {
-            "outputs": [str(edges_path), str(truth_path)],
-            "resolved_bounds": {"k_min": k_min, "k_max": k_max, "s_min": s_min, "s_max": s_max},
-            "realized": {
-                "n": pg.graph.n,
-                "m": pg.graph.m,
-                "communities": pg.n_communities,
-                "mean_degree": 2 * pg.graph.m / pg.graph.n,
-                "mixing": lfr.mixing_fraction(pg),
-                "attempts": pg.attempts,
-                "dropped_edges": pg.dropped,
+        k_min, k_max, s_min, s_max = params.resolved_bounds()
+        _write_manifest(
+            manifest_fh,
+            "generate",
+            args,
+            {
+                "outputs": [str(edges_path), str(truth_path)],
+                "resolved_bounds": {"k_min": k_min, "k_max": k_max, "s_min": s_min, "s_max": s_max},
+                "realized": {
+                    "n": pg.graph.n,
+                    "m": pg.graph.m,
+                    "communities": pg.n_communities,
+                    "mean_degree": 2 * pg.graph.m / pg.graph.n,
+                    "mixing": lfr.mixing_fraction(pg),
+                    "attempts": pg.attempts,
+                    "dropped_edges": pg.dropped,
+                },
             },
-        },
-    )
+        )
     print(
         f"generated {pg.graph.n} nodes, {pg.graph.m} edges, {pg.n_communities} communities "
         f"(realized mixing {lfr.mixing_fraction(pg):.3f})"
@@ -222,30 +230,30 @@ def cmd_sweep(args) -> int:
         cells.extend((params, sigma) for sigma in args.sigma)
 
     out = Path(args.out)
-    with _csv_out(out) as fh:
+    with _csv_out(out) as fh, _csv_out(out.with_suffix(".manifest.json")) as manifest_fh:
         records, summaries = bench.run_sweep(cells, args.trials, args.rng_seed, jobs=args.jobs)
         bench.write_results_csv(summaries, fh)
-    _write_manifest(
-        out.with_suffix(".manifest.json"),
-        "sweep",
-        args,
-        {
-            "outputs": [str(out)],
-            "cells": [
-                {
-                    "mu": s.params.mu,
-                    "sigma": s.sigma,
-                    "trials": s.trials,
-                    "failures": s.failures,
-                    "seconds_mean": s.seconds_mean,
-                    "mixing_mean": s.mixing_mean,
-                    "attempts_mean": s.attempts_mean,
-                    **_failure_report(records[i * args.trials : (i + 1) * args.trials]),
-                }
-                for i, s in enumerate(summaries)
-            ],
-        },
-    )
+        _write_manifest(
+            manifest_fh,
+            "sweep",
+            args,
+            {
+                "outputs": [str(out)],
+                "cells": [
+                    {
+                        "mu": s.params.mu,
+                        "sigma": s.sigma,
+                        "trials": s.trials,
+                        "failures": s.failures,
+                        "seconds_mean": s.seconds_mean,
+                        "mixing_mean": s.mixing_mean,
+                        "attempts_mean": s.attempts_mean,
+                        **_failure_report(records[i * args.trials : (i + 1) * args.trials]),
+                    }
+                    for i, s in enumerate(summaries)
+                ],
+            },
+        )
     failed = sum(s.failures for s in summaries)
     if failed:
         print(f"warning: {failed} trial(s) failed; cells marked incomplete", file=sys.stderr)
@@ -256,8 +264,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_histogram(args) -> int:
     out = Path(args.out)
-    _refuse_input_overwrite([out, out.with_suffix(".manifest.json")], args.edges, args.truth)
-    with _csv_out(out) as fh:
+    manifest_path = out.with_suffix(".manifest.json")
+    _refuse_input_overwrite([out, manifest_path], args.edges, args.truth)
+    with _csv_out(out) as fh, _csv_out(manifest_path) as manifest_fh:
         pg = lfr.load_planted(args.edges, args.truth)
         if lfr.seed_count(args.sigma, pg.graph.n) < 1:
             raise UsageError(f"--sigma must give at least one seed among {pg.graph.n} nodes")
@@ -266,19 +275,19 @@ def cmd_histogram(args) -> int:
         if not qualities:
             raise records[0].failure
         bench.write_histogram_csv(bench.histogram(qualities, args.bins), fh)
-    q_mean = float(sum(qualities) / len(qualities))
-    _write_manifest(
-        out.with_suffix(".manifest.json"),
-        "histogram",
-        args,
-        {
-            "input": {"n": pg.graph.n, "m": pg.graph.m, "duplicates_collapsed": pg.graph.duplicates_collapsed},
-            "outputs": [str(out)],
-            "q_mean": q_mean,
-            "runs_ok": len(qualities),
-            **_failure_report(records),
-        },
-    )
+        q_mean = float(sum(qualities) / len(qualities))
+        _write_manifest(
+            manifest_fh,
+            "histogram",
+            args,
+            {
+                "input": {"n": pg.graph.n, "m": pg.graph.m, "duplicates_collapsed": pg.graph.duplicates_collapsed},
+                "outputs": [str(out)],
+                "q_mean": q_mean,
+                "runs_ok": len(qualities),
+                **_failure_report(records),
+            },
+        )
     failed = len(records) - len(qualities)
     if failed:
         print(f"warning: {failed} re-sample(s) failed; binned the {len(qualities)} that succeeded", file=sys.stderr)
@@ -311,7 +320,7 @@ SIGMA_LIST = _checked(_float_list, lambda vs: vs and all(0 < v <= 1 for v in vs)
 
 
 def _add_tol_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=TOLERANCE, default=1e-8, help="solver relative-residual tolerance")
+    p.add_argument("--tol", type=TOLERANCE, default=solver.DEFAULT_TOL, help="solver relative-residual tolerance")
 
 
 def _add_lfr_flags(p: argparse.ArgumentParser, mu_list: bool) -> None:

@@ -19,9 +19,10 @@ from .markov import build_chain
 from .pool import pool_map
 from .seeds import SeedSet
 
-# affinities per CSV chunk, as solver.BLOCK is columns per solve block: a chunk is
-# max(1, CHUNK // l) rows, sent to its worker with only its own rows and labels, so
-# no process holds more than about CHUNK values as text cells, work arrays and text.
+# cells per CSV chunk, as solver.BLOCK is columns per solve block: a chunk is
+# max(1, CHUNK // (l + 8)) rows, a row's label and newline counted as the eight 16-byte
+# cells they weigh about as much as. It reaches its worker with only its own rows and
+# labels, so no process holds more than about CHUNK cells as text, work arrays and text.
 # Peak RSS of `detect --jobs 2` on detect_wide (n 10^4, l 217; 2 vCPUs, medians of
 # 6): 65.9 MB at 2**14, 65.9 at 2**16, 74.4 at 2**18; 2**14 only adds tasks
 CHUNK = 1 << 16
@@ -105,11 +106,11 @@ def _csv_field(label: str) -> str:
 
 def write_affinity_csv(aff: AffinityMatrix, g: Graph, stream: IO[str], jobs: int = 1) -> None:
     """One row per node: label then printf `%.9g` of each affinity clamped to [0, 1].
-    Chunks of about CHUNK affinities are formatted in up to `jobs` processes,
-    each sent with only its own rows and labels, and written in order as they
-    arrive, so the bytes do not depend on `jobs`."""
+    Chunks of about CHUNK cells (l per row, and 8 for its label and newline) are
+    formatted in up to `jobs` processes, each sent with only its own rows and
+    labels, and written in order as they arrive, so the bytes do not depend on `jobs`."""
     stream.write("node," + ",".join(f"c{i}" for i in range(aff.l)) + "\n")
-    rows = max(1, CHUNK // aff.l)
+    rows = max(1, CHUNK // (aff.l + 8))
     tasks = [(aff.values[i : i + rows], g.labels[i : i + rows]) for i in range(0, aff.n, rows)]
     stream.writelines(pool_map(_format_rows, tasks, jobs))
 
@@ -145,11 +146,10 @@ def _g9_tables() -> tuple[np.ndarray, ...]:
     - digits[q]: the 4 ASCII digits of q < 10**4 as a word; at q + 10**4 the
       same with trailing zeros as 0xFF (all four for 0);
     - head[10 * i + d0]: the 8 bytes before the last 8 digits in fixed
-      notation, ending in the leading digit d0, for decade 10**-i (i = 1..4),
-      the value 1 (i = 0) and the value 0 (i = 5);
+      notation, ending in the leading digit d0, for decade 10**-i (i = 0..4),
+      and `,` then d0 for i = 5 (the value 0; exponent notation overwrites it);
     - exp[-e]: `e-` and the exponent, its leading 0 as 0xFF below 100;
-    - pow10[k]: 10**k correctly rounded;
-    - scale[i]: the factor that brings decade i to 9 integer digits.
+    - pow10[k]: 10**k correctly rounded.
     """
     q = np.arange(10_000)
     ascii4 = (np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1) + 48).astype(np.uint8)
@@ -161,63 +161,44 @@ def _g9_tables() -> tuple[np.ndarray, ...]:
     head = _pack((p + b"%d" % d0).rjust(8, b"\xff") for p in prefix for d0 in range(10))
     exp = _pack(b"e-" + (b"\xff%02d" % e if e < 100 else b"%d" % e) for e in range(301))
     pow10 = np.array([float(10**k) for k in range(309)])
-    return digits, head, exp, pow10, pow10[[9, 9, 10, 11, 12, 12]]
+    return digits, head, exp, pow10
 
 
 def _g9_cells(values: np.ndarray, cells: np.ndarray) -> None:
     """Write `,` and printf `%.9g` of each value clipped to [0, 1] into its
     16-byte cell (r x l x 2 words), padded with 0xFF.
 
-    A value v of decade e is the integer d = rint(v * 10**(8 - e)) in
-    [10**8, 10**9]. The product is within 2.3e-7 of the exact one, so d is
-    correctly rounded unless the product lies within 1e-6 of a half; those
-    values, -0.0, NaN and values below 1e-299 are formatted one at a time.
+    A value x of decade e = floor(log10(x)) is the integer d = rint(x * 10**(8 - e))
+    in [10**8, 10**9], and d = 10**9 carries to 10**8 of decade e + 1. The product
+    is within 2.3e-7 of the exact one, so d is correctly rounded unless the product
+    lies within 1e-6 of a half. log10 puts x a decade off only within rounding
+    error of 10**e, where rint still gives 10**8 or the carried 10**9. Values near
+    a half, -0.0, NaN and values below 1e-299 are formatted one at a time.
     """
-    digits, head, exp, pow10, scale = _g9_tables()
+    digits, head, exp, pow10 = _g9_tables()
     x = np.clip(values, 0.0, 1.0)
-    # i = -e for the decade 10**e <= x < 10**(e + 1) down to 10**-4, and 5 below it.
-    # Each bound is rounded up as a double, so x * scale[i] >= 10**8 - 2.3e-7
-    i = (x < 0.1).view(np.uint8)
-    for bound in (0.01, 1e-3, 1e-4):
-        i += x < bound
-    i += 1
-    m = scale[i]
+    fine = x >= 1e-299  # not NaN, +-0 or tinier; 0 keeps e = -5 and d = 0, whose head is `,0`
+    e = np.log10(x, out=np.full(x.shape, -5.0), where=fine)
+    e = np.floor(e, out=e).astype(np.int16)  # not int64, which doubled the page faults per chunk
+    m = pow10[8 - e]
     m *= x
     d = np.rint(m)
     m -= d
     np.abs(m, out=m)
     unsure = ~(m < 0.5 - 1e-6)  # near a half, or NaN
     del m
-    slow = [np.flatnonzero(unsure)]
+    unsure |= np.signbit(x) | (~fine & (x > 0))
     np.copyto(d, 0.0, where=unsure)
-    del unsure
+    slow = np.flatnonzero(unsure)
+    slow_x = x.reshape(-1)[slow].tolist()
+    del x, unsure
     d = d.astype(np.uint32)
-    carry = d == 10**9  # rounded up into the next decade; i = 0 is the value 1
+    carry = d == 10**9  # rounded up into the next decade, into fixed notation from 10**-5
     np.subtract(d, 900_000_000, out=d, where=carry)
-    i -= carry
-    del carry
-    # below 10**-4: exponent notation, the decade from log10; 0 keeps d = 0 and i = 5,
-    # whose head is `,0`. floor(log10(x)) is a decade off only within rounding error
-    # of 10**e, where rint still gives 10**8 or the carried 10**9
-    flat_x, flat_i, flat_d = x.reshape(-1), i.reshape(-1), d.reshape(-1)
-    small = np.flatnonzero(flat_i == 5)
-    xs = flat_x[small]
-    slow.append(small[(xs < 1e-299) & ((xs > 0) | np.signbit(xs))])
-    small, xs = small[xs >= 1e-299], xs[xs >= 1e-299]
-    e = np.floor(np.log10(xs)).astype(np.int64)
-    m = xs * pow10[8 - e]
-    ds = np.rint(m)
-    slow.append(small[~(np.abs(m - ds) < 0.5 - 1e-6)])
-    ds = ds.astype(np.uint32)
-    carry = ds == 10**9
-    ds[carry] = 10**8
     e += carry
-    flat_d[small] = ds
-    flat_i[small[e == -4]] = 4  # rounded up to 0.0001
-    small, e = small[e < -4], e[e < -4]
-    slow = np.concatenate(slow)
-    slow_x = flat_x[slow].tolist()
-    del x, flat_x, xs
+    del carry
+    rows, cols = np.divmod(np.flatnonzero(fine & (e < -4)), cells.shape[1])  # exponent notation
+    del fine
     # d as 1 + 4 + 4 digits; the last 8 without their trailing zeros, as %g drops them
     q = d // 10_000
     d2 = d - q * 10_000
@@ -226,6 +207,7 @@ def _g9_cells(values: np.ndarray, cells: np.ndarray) -> None:
     del q, d
     d1 += (d2 == 0) * np.uint32(10_000)
     d2 += 10_000
+    i = np.minimum(-e, 5)
     i *= 10
     i += d0
     cells[..., 0] = head[i]
@@ -235,13 +217,11 @@ def _g9_cells(values: np.ndarray, cells: np.ndarray) -> None:
     tail <<= 32
     tail |= digits[d1]
     del d1, d2
-    if small.size:
-        rows, cols = np.divmod(small, cells.shape[1])
-        tail = tail[rows, cols]
-        lead = 0x2C | (48 + d0[rows, cols].astype(np.uint64)) << 8 | 0x2E << 16
-        lead |= (tail == 2**64 - 1) * np.uint64(0xFF << 16)  # no `.` before no digits
-        cells[rows, cols, 0] = lead | tail << 24
-        cells[rows, cols, 1] = tail >> 40 | exp[-e] << 24
+    tail = tail[rows, cols]
+    lead = 0x2C | (48 + d0[rows, cols].astype(np.uint64)) << 8 | 0x2E << 16
+    lead |= (tail == 2**64 - 1) * np.uint64(0xFF << 16)  # no `.` before no digits
+    cells[rows, cols, 0] = lead | tail << 24
+    cells[rows, cols, 1] = tail >> 40 | exp[-e[rows, cols]] << 24
     for p, v in zip(slow.tolist(), slow_x):
         cells[divmod(p, cells.shape[1])] = np.frombuffer((b",%.9g" % v).ljust(16, b"\xff"), "<u8")
 

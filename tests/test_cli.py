@@ -286,7 +286,7 @@ def test_detect_outputs_independent_of_jobs(tmp_path):
                  "--rng-seed", "3", "--out", str(prefix)]) == 0
     pg = lfr.load_planted(f"{prefix}.edges", f"{prefix}.truth")
     seeds, _ = lfr.sample_seeds(pg, 0.1, np.random.default_rng(3))
-    assert seeds.l > BLOCK and pg.graph.n > detect.CHUNK // seeds.l
+    assert seeds.l > BLOCK and pg.graph.n > detect.CHUNK // (seeds.l + 8)
     with open(f"{prefix}.seeds", "w", encoding="utf-8") as fh:
         write_seed_file(seeds, pg.graph, fh)
     argv = ["detect", f"{prefix}.edges", f"{prefix}.seeds", "--out"]
@@ -420,6 +420,12 @@ LFR_FLAGS = ["--n", "200", "--avg-k", "10", "--mu", "0.1"]
         # the second output path is a directory: the first output must not stay behind
         (["detect", "{edges}", "{seeds}", "--out", "{tmp}/d"], 1),
         (["generate", *LFR_FLAGS, "--out", "{tmp}/g"], 1),
+        # the manifest path is a directory: it is opened with the other outputs, before the run
+        (["detect", "{edges}", "{seeds}", "--out", "{tmp}/dm"], 1),
+        (["generate", *LFR_FLAGS, "--out", "{tmp}/gm"], 1),
+        (["sweep", *LFR_FLAGS, "--sigma", "0.2", "--trials", "1", "--jobs", "1", "--out", "{tmp}/sm.csv"], 1),
+        (["histogram", "{edges}", "{truth}", "--sigma", "0.3", "--runs", "1", "--jobs", "1",
+          "--out", "{tmp}/hm.csv"], 1),
         # the resolved k_max (n/10, at least 2) is not below n
         (["generate", "--n", "2", "--avg-k", "1", "--mu", "0", "--out", "{tmp}/x"], 4),
         # a steep law on [1, 19] has a mean far below 15: no draw comes within 5%
@@ -429,7 +435,9 @@ LFR_FLAGS = ["--n", "200", "--avg-k", "10", "--mu", "0.1"]
     ids=["detect-out", "generate-out", "sweep-out", "histogram-out", "generate-avg-k-nan", "sweep-avg-k-nan",
          "generate-s-max-above-n",
          "histogram-unreachable-pooled", "histogram-huge-community",
-         "detect-second-out", "generate-second-out", "generate-k-max-not-below-n", "generate-degree-mean-unsettled"],
+         "detect-second-out", "generate-second-out", "detect-manifest-dir", "generate-manifest-dir",
+         "sweep-manifest-dir", "histogram-manifest-dir",
+         "generate-k-max-not-below-n", "generate-degree-mean-unsettled"],
 )
 def test_runtime_errors_exit_with_their_code(argv, code, fig_files, tmp_path, capsys, monkeypatch):
     edges, seeds = fig_files
@@ -448,6 +456,8 @@ def test_runtime_errors_exit_with_their_code(argv, code, fig_files, tmp_path, ca
     monkeypatch.setattr(lfr, "generate", spy(lfr.generate))
     (tmp_path / "d.crisp.csv").mkdir()
     (tmp_path / "g.truth").mkdir()
+    for name in ("dm", "gm", "sm", "hm"):
+        (tmp_path / f"{name}.manifest.json").mkdir()
     truth = tmp_path / "fig.truth"
     truth.write_text("".join(f"{lab} 0\n" for lab in dict.fromkeys(FIG_EDGES.split())))
     # an index beyond int64 must be a parse error, not an OverflowError

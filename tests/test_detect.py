@@ -228,7 +228,7 @@ def test_affinity_csv_format(fig_graph, fig_seeds):
 
 def test_affinity_csv_bytes_match_per_value_formatting(monkeypatch):
     # 1024-row chunks: a 2100-node path spans three of them
-    monkeypatch.setattr(detect, "CHUNK", 3 * 1024)
+    monkeypatch.setattr(detect, "CHUNK", (3 + 8) * 1024)
     for k in (3, 2100):
         g = path_graph(k)
         rng = np.random.default_rng(67)
@@ -249,7 +249,7 @@ def test_affinity_csv_bytes_match_per_value_formatting(monkeypatch):
 def test_affinity_csv_bytes_independent_of_jobs(monkeypatch):
     # three 1024-row chunks, formatted in worker processes, and a label that
     # must be quoted: the bytes equal those written in one process
-    monkeypatch.setattr(detect, "CHUNK", 3 * 1024)
+    monkeypatch.setattr(detect, "CHUNK", (3 + 8) * 1024)
     k = 2100
     labels = path_graph(k).labels
     labels[1500] = 'x,"y'
@@ -265,7 +265,7 @@ def test_affinity_csv_bytes_independent_of_jobs(monkeypatch):
 
 
 def test_affinity_csv_chunks_carry_only_their_rows(monkeypatch):
-    # 50 rows of 3 affinities in chunks of 20 // 3 = 6 rows: eight full chunks and
+    # 50 rows of 3 affinities in chunks of 66 // (3 + 8) = 6 rows: eight full chunks and
     # a short last one, each task holding only its own rows and labels
     k, l = 48, 3
     labels = path_graph(k).labels
@@ -273,7 +273,7 @@ def test_affinity_csv_chunks_carry_only_their_rows(monkeypatch):
     g = Graph.from_edges(k + 2, [(i, i + 1) for i in range(k + 1)], labels)
     aff = AffinityMatrix(np.random.default_rng(73).random((k + 2, l)) * 1.2 - 0.1, np.arange(1, k + 1))
     whole = io.StringIO()
-    monkeypatch.setattr(detect, "CHUNK", g.n * l)
+    monkeypatch.setattr(detect, "CHUNK", g.n * (l + 8))
     write_affinity_csv(aff, g, whole)
     calls, pool_map = [], detect.pool_map
 
@@ -281,7 +281,7 @@ def test_affinity_csv_chunks_carry_only_their_rows(monkeypatch):
         calls.append((tasks, shared))
         return pool_map(fn, tasks, jobs, shared)
 
-    monkeypatch.setattr(detect, "CHUNK", 20)
+    monkeypatch.setattr(detect, "CHUNK", 66)
     monkeypatch.setattr(detect, "pool_map", spy)
     for jobs in (1, 2, 3):
         buf = io.StringIO()
@@ -294,11 +294,13 @@ def test_affinity_csv_chunks_carry_only_their_rows(monkeypatch):
         assert all(len(labels) == len(values) for values, labels in tasks)
 
 
-def test_affinity_csv_holds_one_chunk_at_a_time():
-    # 256 rows of 2,000 affinities: a chunk is 32 rows, and per value the writer
-    # holds a 16-byte text cell beside either about 28 bytes of numeric work
-    # arrays or the cell's 16-byte keep mask and the kept text, then the text
-    # twice, so the peak is bounded by CHUNK alone, not by n x l
+@pytest.mark.parametrize("l", [1, 2, 2000])
+def test_affinity_csv_holds_one_chunk_at_a_time(l):
+    # sixteen chunks of CHUNK // (l + 8) rows: 32 rows at l = 2,000, 7,281 at l = 1.
+    # Per value the writer holds a 16-byte text cell beside either numeric work arrays
+    # or the cell's 16-byte keep mask and the kept text, then the text twice, and a
+    # row's label and newline weigh about as much as eight values, so the peak is
+    # bounded by CHUNK alone, not by n x l
     class Discard:
         def write(self, text):
             pass
@@ -307,7 +309,7 @@ def test_affinity_csv_holds_one_chunk_at_a_time():
             for _ in lines:
                 pass
 
-    n, l = 256, 2000
+    n = 16 * detect.CHUNK // (l + 8)
     g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
     aff = AffinityMatrix(np.random.default_rng(79).random((n, l)), np.arange(n))
     tracemalloc.start()
@@ -345,7 +347,9 @@ def _rfc4180(label):
 @example(
     [0.0, -0.0, np.nan, np.inf, -np.inf, -1.0, 2.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-299,
      103 / 1024, 0.5, 1 / 3, 9.9999999995e-5, 9.99999999949e-5, 0.99999999995, 0.9999999995, 1e-100,
-     9.999999999e-100, 1.234567885e-7] + POWERS,
+     9.999999999e-100, 1.234567885e-7] + POWERS
+    # 9 digits round up to 10**-k, or just do not, at every fixed decade and the first exponent ones
+    + [10.0**-k * (1 - f) for k in range(7) for f in (4e-10, 6e-10)],
     3,
     ['x,"y', "ünï,cødé", "€", "λ"],
 )
@@ -360,7 +364,7 @@ def test_affinity_csv_is_per_value_g9_of_the_clipped_values(values, l, names):
         for label, row in zip(labels, np.clip(values, 0.0, 1.0).tolist())
     )
     # one row per chunk, a few rows per chunk, and every row in one chunk
-    for chunk in (1, 3 * l, detect.CHUNK):
+    for chunk in (1, 3 * (l + 8), detect.CHUNK):
         buf = io.StringIO()
         with mock.patch.object(detect, "CHUNK", chunk):
             write_affinity_csv(aff, g, buf)
