@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import math
 import os
@@ -338,6 +339,13 @@ def _add_lfr_flags(p: argparse.ArgumentParser, mu_list: bool) -> None:
     p.add_argument("--s-max", type=int, default=None, help="max community size (default n/5)")
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seedwalk",
@@ -350,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("seeds", help="seed file: `node community affinity` per line")
     p.add_argument("--out", required=True, help="output prefix (writes .affinity.csv, .crisp.csv)")
     _add_tol_flag(p)
-    p.add_argument("--jobs", type=AT_LEAST_ONE, default=os.cpu_count() or 1, help="worker processes")
+    p.add_argument("--jobs", type=AT_LEAST_ONE, default=_cpus(), help="worker processes")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_detect)
 
@@ -375,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=SIGMA_LIST, required=True, help="seed fraction(s), comma separated")
     p.add_argument("--trials", type=AT_LEAST_ONE, default=100, help="runs per grid cell")
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--jobs", type=AT_LEAST_ONE, default=os.cpu_count() or 1, help="parallel trial workers")
+    p.add_argument("--jobs", type=AT_LEAST_ONE, default=_cpus(), help="parallel trial workers")
     p.add_argument("--out", required=True, help="results CSV path")
     p.set_defaults(func=cmd_sweep)
 
@@ -386,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=AT_LEAST_ONE, default=1000)
     p.add_argument("--bins", type=AT_LEAST_ONE, default=20)
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--jobs", type=AT_LEAST_ONE, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=AT_LEAST_ONE, default=_cpus())
     p.add_argument("--out", required=True, help="histogram CSV path")
     p.set_defaults(func=cmd_histogram)
 
@@ -407,5 +415,14 @@ def main(argv=None) -> int:
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
+def run() -> None:
+    """Program entry (the console script, `python -m seedwalk.cli`): exit with main()'s
+    code, after freezing every object left, so the interpreter's last collections skip
+    what the OS frees anyway. main() itself changes no process-wide state."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -108,10 +108,11 @@ def write_affinity_csv(aff: AffinityMatrix, g: Graph, stream: IO[str], jobs: int
     """One row per node: label then printf `%.9g` of each affinity clamped to [0, 1].
     Chunks of about CHUNK cells (l per row, and 8 for its label and newline) are
     formatted in up to `jobs` processes, each sent with only its own rows and
-    labels, and written in order as they arrive, so the bytes do not depend on `jobs`."""
+    labels and sliced only shortly before its turn, and written in order as they
+    arrive, so the bytes do not depend on `jobs`."""
     stream.write("node," + ",".join(f"c{i}" for i in range(aff.l)) + "\n")
     rows = max(1, CHUNK // (aff.l + 8))
-    tasks = [(aff.values[i : i + rows], g.labels[i : i + rows]) for i in range(0, aff.n, rows)]
+    tasks = ((aff.values[i : i + rows], g.labels[i : i + rows]) for i in range(0, aff.n, rows))
     stream.writelines(pool_map(_format_rows, tasks, jobs))
 
 

@@ -1,7 +1,9 @@
 import contextlib
 import csv
+import gc
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -516,6 +518,45 @@ def test_detect_quotes_labels_holding_comma_or_quote(tmp_path):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_jobs_default_follows_cpu_affinity(monkeypatch):
+    # pinned to one CPU of a machine with more, no command starts a pool by default
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    parser = cli.build_parser()
+    for argv in (
+        ["detect", "e", "s", "--out", "x"],
+        ["sweep", "--n", "100", "--avg-k", "5", "--mu", "0.1", "--sigma", "0.1", "--out", "x"],
+        ["histogram", "e", "t", "--sigma", "0.1", "--out", "x"],
+    ):
+        assert parser.parse_args(argv).jobs == 1
+
+
+def test_main_leaves_the_collector_as_it_was(fig_files, tmp_path, capsys):
+    before = gc.get_freeze_count()
+    edges, seeds = fig_files
+    assert main(["detect", str(edges), str(seeds), "--jobs", "1", "--out", str(tmp_path / "x")]) == 0
+    assert main(["detect"]) == 64
+    assert gc.get_freeze_count() == before
+
+
+RUN_PROBE = """
+import atexit, gc, sys
+sys.path.insert(0, sys.argv.pop(1))
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+from seedwalk.cli import run
+run()
+"""
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["detect"], 64)], ids=["help", "usage-error"])
+def test_run_exits_with_the_code_of_main_after_freezing(argv, code):
+    import seedwalk
+
+    src = str(Path(seedwalk.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", RUN_PROBE, src, *argv], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code
+    assert proc.stdout.splitlines()[-1] == "frozen at exit: True"
 
 
 def test_sweep_sigma_without_seeds_is_usage_error(tmp_path, capsys):

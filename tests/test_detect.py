@@ -278,6 +278,7 @@ def test_affinity_csv_chunks_carry_only_their_rows(monkeypatch):
     calls, pool_map = [], detect.pool_map
 
     def spy(fn, tasks, jobs, shared=()):
+        tasks = list(tasks)
         calls.append((tasks, shared))
         return pool_map(fn, tasks, jobs, shared)
 
@@ -294,13 +295,23 @@ def test_affinity_csv_chunks_carry_only_their_rows(monkeypatch):
         assert all(len(labels) == len(values) for values, labels in tasks)
 
 
-@pytest.mark.parametrize("l", [1, 2, 2000])
-def test_affinity_csv_holds_one_chunk_at_a_time(l):
-    # sixteen chunks of CHUNK // (l + 8) rows: 32 rows at l = 2,000, 7,281 at l = 1.
+@pytest.mark.parametrize(
+    "l, chunks, jobs",
+    [
+        pytest.param(1, 16, 1, id="1"),
+        pytest.param(2, 16, 1, id="2"),
+        pytest.param(2000, 16, 1, id="2000"),
+        pytest.param(1, 128, 1, id="1-128chunks"),
+        pytest.param(1, 128, 2, id="1-128chunks-pooled"),
+    ],
+)
+def test_affinity_csv_holds_one_chunk_at_a_time(l, chunks, jobs):
+    # chunks of CHUNK // (l + 8) rows: 32 rows at l = 2,000, 7,281 at l = 1.
     # Per value the writer holds a 16-byte text cell beside either numeric work arrays
     # or the cell's 16-byte keep mask and the kept text, then the text twice, and a
     # row's label and newline weigh about as much as eight values, so the peak is
-    # bounded by CHUNK alone, not by n x l
+    # bounded by CHUNK alone, not by n x l. Nor by the number of chunks: each chunk's
+    # label slice is taken only shortly before its turn, here or in a pool
     class Discard:
         def write(self, text):
             pass
@@ -309,12 +320,12 @@ def test_affinity_csv_holds_one_chunk_at_a_time(l):
             for _ in lines:
                 pass
 
-    n = 16 * detect.CHUNK // (l + 8)
+    n = chunks * detect.CHUNK // (l + 8)
     g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
     aff = AffinityMatrix(np.random.default_rng(79).random((n, l)), np.arange(n))
     tracemalloc.start()
     try:
-        write_affinity_csv(aff, g, Discard())
+        write_affinity_csv(aff, g, Discard(), jobs=jobs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
