@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .bench import run_sweep, seed_resample_qualities
+from .bench import run_sweep
 from .detect import AffinityMatrix, assign_crisp, detect_multi
 from .errors import (
     ConvergenceError,
@@ -40,7 +40,6 @@ __all__ = [
     "run_sweep",
     "run_walks",
     "sample_seeds",
-    "seed_resample_qualities",
     "write_edge_list",
     "write_seed_file",
 ]

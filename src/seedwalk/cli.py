@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import gc
 import json
 import math
@@ -28,6 +29,8 @@ from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO
+
+import numpy as np
 
 from . import __version__, bench, lfr, solver, walker
 from .detect import detect_multi, write_affinity_csv, write_crisp_csv
@@ -56,17 +59,16 @@ EXIT_CODES = {
 }
 
 
-def _write_manifest(fh: IO[str], subcommand: str, args: argparse.Namespace, extra: dict | None = None) -> None:
+def _write_manifest(fh: IO[str], args: argparse.Namespace, extra: dict) -> None:
     flags = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "flags": flags,
         "rng_seed": flags.get("rng_seed"),
         "artifact_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
     json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
     fh.write("\n")
 
@@ -83,8 +85,7 @@ def _failure_report(records: list[bench.TrialResult]) -> dict:
 @contextlib.contextmanager
 def _csv_out(path: Path):
     """Open an output file before the work that fills it, so an unwritable path
-    fails first; if the work fails, remove the file, so no partial output stays.
-    Nest one per output: a later path that cannot be opened removes the earlier files."""
+    fails first; if the work fails, remove the file, so no partial output stays."""
     with open(path, "w", encoding="utf-8") as fh:
         try:
             yield fh
@@ -94,38 +95,40 @@ def _csv_out(path: Path):
             raise
 
 
-def _refuse_input_overwrite(outputs: list[Path], *inputs: str) -> None:
-    """An output opened before the inputs are read must not be one of them."""
+@contextlib.contextmanager
+def _outputs(args: argparse.Namespace, paths: list[Path], manifest: Path, inputs=()):
+    """The output policy of every writing command. Refuse an output that names an
+    input; open every output and then the manifest before any input is read, so an
+    unwritable path fails first; write the manifest last; and if the run fails,
+    remove every output. Yields the output streams, in the order of paths, and the
+    manifest fields, which already list the outputs and which the command adds to."""
     given = {Path(p).resolve() for p in inputs}
-    for path in outputs:
+    for path in (*paths, manifest):
         if path.resolve() in given:
             raise UsageError(f"--out would overwrite the input file {path}")
+    extra = {"outputs": [str(path) for path in paths]}
+    with contextlib.ExitStack() as stack:
+        streams = [stack.enter_context(_csv_out(path)) for path in paths]
+        manifest_fh = stack.enter_context(_csv_out(manifest))
+        yield streams, extra
+        _write_manifest(manifest_fh, args, extra)
 
 
 def cmd_detect(args) -> int:
-    prefix = str(args.out)
-    affinity_path = Path(prefix + ".affinity.csv")
-    crisp_path = Path(prefix + ".crisp.csv")
-    manifest_path = Path(prefix + ".manifest.json")
-    _refuse_input_overwrite([affinity_path, crisp_path, manifest_path], args.edges, args.seeds)
-    with (
-        _csv_out(affinity_path) as affinity_fh,
-        _csv_out(crisp_path) as crisp_fh,
-        _csv_out(manifest_path) as manifest_fh,
-    ):
+    paths = [Path(f"{args.out}.affinity.csv"), Path(f"{args.out}.crisp.csv")]
+    manifest = Path(f"{args.out}.manifest.json")
+    with _outputs(args, paths, manifest, (args.edges, args.seeds)) as ((affinity_fh, crisp_fh), extra):
         g = load_edge_list(args.edges)
         seeds = load_seed_file(args.seeds, g)
         aff = detect_multi(g, seeds, tol=args.tol, jobs=args.jobs)
         write_affinity_csv(aff, g, affinity_fh, jobs=args.jobs)
         write_crisp_csv(aff, g, crisp_fh)
-        extra = {
-            "input": {"n": g.n, "m": g.m, "duplicates_collapsed": g.duplicates_collapsed},
-            "inputs": [str(args.edges), str(args.seeds)],
-            "outputs": [str(affinity_path), str(crisp_path)],
-            "solver_iterations": [r.iterations for r in aff.reports],
-            "solver_residuals": [r.relative_residual for r in aff.reports],
-        }
-        _write_manifest(manifest_fh, "detect", args, extra)
+        extra.update(
+            input={"n": g.n, "m": g.m, "duplicates_collapsed": g.duplicates_collapsed},
+            inputs=[str(args.edges), str(args.seeds)],
+            solver_iterations=[r.iterations for r in aff.reports],
+            solver_residuals=[r.relative_residual for r in aff.reports],
+        )
     if args.verbose:
         print(f"{g.n} nodes, {g.m} edges, {len(seeds)} seeds, {seeds.l} communities")
         for i, r in enumerate(aff.reports):
@@ -134,51 +137,30 @@ def cmd_detect(args) -> int:
 
 
 def _lfr_params(args, mu: float) -> LfrParams:
-    """Generator parameters from the shared LFR flags, at mixing mu."""
-    return LfrParams(
-        n=args.n,
-        avg_k=args.avg_k,
-        gamma=args.gamma,
-        beta_exp=args.beta_exp,
-        mu=mu,
-        k_min=args.k_min,
-        k_max=args.k_max,
-        s_min=args.s_min,
-        s_max=args.s_max,
-        rng_seed=args.rng_seed,
-    )
+    """Generator parameters from the shared LFR flags, whose dests are the field
+    names, at mixing mu."""
+    values = {field.name: getattr(args, field.name) for field in dataclasses.fields(LfrParams)}
+    return LfrParams(**{**values, "mu": mu})
 
 
 def cmd_generate(args) -> int:
     params = _lfr_params(args, args.mu)
-    prefix = str(args.out)
-    edges_path = Path(prefix + ".edges")
-    truth_path = Path(prefix + ".truth")
-    with (
-        _csv_out(edges_path) as edges_fh,
-        _csv_out(truth_path) as truth_fh,
-        _csv_out(Path(prefix + ".manifest.json")) as manifest_fh,
-    ):
+    paths = [Path(f"{args.out}.edges"), Path(f"{args.out}.truth")]
+    with _outputs(args, paths, Path(f"{args.out}.manifest.json")) as ((edges_fh, truth_fh), extra):
         pg = lfr.generate(params)
         write_edge_list(pg.graph, edges_fh)
         lfr.write_truth(pg, truth_fh)
         k_min, k_max, s_min, s_max = params.resolved_bounds()
-        _write_manifest(
-            manifest_fh,
-            "generate",
-            args,
-            {
-                "outputs": [str(edges_path), str(truth_path)],
-                "resolved_bounds": {"k_min": k_min, "k_max": k_max, "s_min": s_min, "s_max": s_max},
-                "realized": {
-                    "n": pg.graph.n,
-                    "m": pg.graph.m,
-                    "communities": pg.n_communities,
-                    "mean_degree": 2 * pg.graph.m / pg.graph.n,
-                    "mixing": lfr.mixing_fraction(pg),
-                    "attempts": pg.attempts,
-                    "dropped_edges": pg.dropped,
-                },
+        extra.update(
+            resolved_bounds={"k_min": k_min, "k_max": k_max, "s_min": s_min, "s_max": s_max},
+            realized={
+                "n": pg.graph.n,
+                "m": pg.graph.m,
+                "communities": pg.n_communities,
+                "mean_degree": 2 * pg.graph.m / pg.graph.n,
+                "mixing": lfr.mixing_fraction(pg),
+                "attempts": pg.attempts,
+                "dropped_edges": pg.dropped,
             },
         )
     print(
@@ -231,30 +213,22 @@ def cmd_sweep(args) -> int:
         cells.extend((params, sigma) for sigma in args.sigma)
 
     out = Path(args.out)
-    with _csv_out(out) as fh, _csv_out(out.with_suffix(".manifest.json")) as manifest_fh:
+    with _outputs(args, [out], out.with_suffix(".manifest.json")) as ((fh,), extra):
         records, summaries = bench.run_sweep(cells, args.trials, args.rng_seed, jobs=args.jobs)
         bench.write_results_csv(summaries, fh)
-        _write_manifest(
-            manifest_fh,
-            "sweep",
-            args,
+        extra["cells"] = [
             {
-                "outputs": [str(out)],
-                "cells": [
-                    {
-                        "mu": s.params.mu,
-                        "sigma": s.sigma,
-                        "trials": s.trials,
-                        "failures": s.failures,
-                        "seconds_mean": s.seconds_mean,
-                        "mixing_mean": s.mixing_mean,
-                        "attempts_mean": s.attempts_mean,
-                        **_failure_report(records[i * args.trials : (i + 1) * args.trials]),
-                    }
-                    for i, s in enumerate(summaries)
-                ],
-            },
-        )
+                "mu": s.params.mu,
+                "sigma": s.sigma,
+                "trials": s.trials,
+                "failures": s.failures,
+                "seconds_mean": s.seconds_mean,
+                "mixing_mean": s.mixing_mean,
+                "attempts_mean": s.attempts_mean,
+                **_failure_report(records[i * args.trials : (i + 1) * args.trials]),
+            }
+            for i, s in enumerate(summaries)
+        ]
     failed = sum(s.failures for s in summaries)
     if failed:
         print(f"warning: {failed} trial(s) failed; cells marked incomplete", file=sys.stderr)
@@ -264,10 +238,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_histogram(args) -> int:
+    # bench.histogram shapes bins + 1 float64 bin edges
+    if (args.bins + 1) * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
+        raise UsageError(f"--bins {args.bins} is more bins than numpy can shape")
     out = Path(args.out)
-    manifest_path = out.with_suffix(".manifest.json")
-    _refuse_input_overwrite([out, manifest_path], args.edges, args.truth)
-    with _csv_out(out) as fh, _csv_out(manifest_path) as manifest_fh:
+    with _outputs(args, [out], out.with_suffix(".manifest.json"), (args.edges, args.truth)) as ((fh,), extra):
         pg = lfr.load_planted(args.edges, args.truth)
         if lfr.seed_count(args.sigma, pg.graph.n) < 1:
             raise UsageError(f"--sigma must give at least one seed among {pg.graph.n} nodes")
@@ -277,17 +252,11 @@ def cmd_histogram(args) -> int:
             raise records[0].failure
         bench.write_histogram_csv(bench.histogram(qualities, args.bins), fh)
         q_mean = float(sum(qualities) / len(qualities))
-        _write_manifest(
-            manifest_fh,
-            "histogram",
-            args,
-            {
-                "input": {"n": pg.graph.n, "m": pg.graph.m, "duplicates_collapsed": pg.graph.duplicates_collapsed},
-                "outputs": [str(out)],
-                "q_mean": q_mean,
-                "runs_ok": len(qualities),
-                **_failure_report(records),
-            },
+        extra.update(
+            input={"n": pg.graph.n, "m": pg.graph.m, "duplicates_collapsed": pg.graph.duplicates_collapsed},
+            q_mean=q_mean,
+            runs_ok=len(qualities),
+            **_failure_report(records),
         )
     failed = len(records) - len(qualities)
     if failed:

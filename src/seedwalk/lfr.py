@@ -67,6 +67,9 @@ class LfrParams:
     def validate(self) -> None:
         if self.n < 2:
             raise GenerationError("n must be at least 2")
+        # generation draws n-element arrays; numpy cannot shape one past its byte limit
+        if self.n * np.dtype(np.int64).itemsize > np.iinfo(np.intp).max:
+            raise GenerationError(f"n={self.n} is more nodes than numpy can shape an array for")
         if not 0.0 <= self.mu <= 1.0:
             raise GenerationError(f"mu={self.mu} outside [0, 1]")
         # written so that NaN fails every test

@@ -3,12 +3,13 @@ import io
 import numpy as np
 import pytest
 
-from seedwalk import GenerationError, LfrParams, ReachabilityError, load_edge_list, run_sweep, seed_resample_qualities
+from seedwalk import GenerationError, LfrParams, ReachabilityError, load_edge_list, run_sweep
 from seedwalk import bench
 from seedwalk.bench import (
     histogram,
     membership_quality,
     run_trial,
+    seed_resample_qualities,
     seed_resamples,
     write_histogram_csv,
     write_results_csv,

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -433,13 +433,20 @@ LFR_FLAGS = ["--n", "200", "--avg-k", "10", "--mu", "0.1"]
         # a steep law on [1, 19] has a mean far below 15: no draw comes within 5%
         (["generate", "--n", "200", "--avg-k", "15", "--k-min", "1", "--k-max", "19", "--gamma", "3",
           "--mu", "0.1", "--out", "{tmp}/x"], 4),
+        # sizes numpy cannot shape an array for: an error line, not numpy's traceback
+        (["histogram", "{edges}", "{truth}", "--sigma", "0.3", "--runs", "1", "--jobs", "1",
+          "--bins", str(10**30), "--out", "{tmp}/h.csv"], 64),
+        (["generate", "--n", str(10**30), "--avg-k", "10", "--mu", "0.2", "--out", "{tmp}/x"], 4),
+        (["sweep", "--n", str(10**30), "--avg-k", "10", "--mu", "0.2", "--sigma", "0.1", "--trials", "1",
+          "--jobs", "1", "--out", "{tmp}/s.csv"], 4),
     ],
     ids=["detect-out", "generate-out", "sweep-out", "histogram-out", "generate-avg-k-nan", "sweep-avg-k-nan",
          "generate-s-max-above-n",
          "histogram-unreachable-pooled", "histogram-huge-community",
          "detect-second-out", "generate-second-out", "detect-manifest-dir", "generate-manifest-dir",
          "sweep-manifest-dir", "histogram-manifest-dir",
-         "generate-k-max-not-below-n", "generate-degree-mean-unsettled"],
+         "generate-k-max-not-below-n", "generate-degree-mean-unsettled",
+         "histogram-bins-beyond-numpy", "generate-n-beyond-numpy", "sweep-n-beyond-numpy"],
 )
 def test_runtime_errors_exit_with_their_code(argv, code, fig_files, tmp_path, capsys, monkeypatch):
     edges, seeds = fig_files
@@ -499,6 +506,40 @@ def test_out_naming_an_input_is_refused(command, fig_files, tmp_path, capsys):
     assert "error: --out would overwrite the input file" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == before
     assert edges.read_text() == FIG_EDGES
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "{edges}", "{seeds}", "--jobs", "1", "--out", "{out}/run"],
+        ["generate", *LFR_FLAGS, "--out", "{out}/gen"],
+        ["sweep", *LFR_FLAGS, "--sigma", "0.2", "--trials", "1", "--jobs", "1", "--out", "{out}/sweep.csv"],
+        ["histogram", "{edges}", "{truth}", "--sigma", "0.3", "--runs", "2", "--jobs", "1",
+         "--out", "{out}/hist.csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_manifest_names_its_command_and_lists_every_other_output(argv, fig_files, tmp_path, capsys):
+    edges, seeds = fig_files
+    truth = tmp_path / "fig.truth"
+    truth.write_text("".join(f"{lab} 0\n" for lab in dict.fromkeys(FIG_EDGES.split())))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([arg.format(edges=edges, seeds=seeds, truth=truth, out=out) for arg in argv]) == 0
+    [manifest_path] = out.glob("*.manifest.json")
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["subcommand"] == argv[0]
+    assert sorted(manifest["outputs"]) == sorted(str(path) for path in out.iterdir() if path != manifest_path)
+
+
+def test_lfr_params_take_every_lfr_flag():
+    values = {"n": 300, "avg_k": 7.5, "gamma": 2.5, "beta_exp": 1.5, "mu": 0.3,
+              "k_min": 3, "k_max": 20, "s_min": 11, "s_max": 60, "rng_seed": 9}
+    argv = ["generate", "--out", "x"]
+    for name, value in values.items():
+        argv += [f"--{name.replace('_', '-')}", str(value)]
+    args = cli.build_parser().parse_args(argv)
+    assert asdict(cli._lfr_params(args, args.mu)) == values
 
 
 def test_detect_quotes_labels_holding_comma_or_quote(tmp_path):
@@ -656,8 +697,8 @@ PUBLIC_API = [
     "AbsorbingChain", "AffinityMatrix", "ConvergenceError", "GenerationError", "Graph", "LfrParams",
     "ParseError", "PlantedGraph", "ReachabilityError", "SeedSet", "SeedwalkError", "assign_crisp",
     "build_chain", "detect_multi", "estimate_affinity", "generate", "load_edge_list", "load_seed_file",
-    "mixing_fraction", "run_sweep", "run_walks", "sample_seeds", "seed_resample_qualities",
-    "write_edge_list", "write_seed_file",
+    "mixing_fraction", "run_sweep", "run_walks", "sample_seeds", "write_edge_list",
+    "write_seed_file",
 ]
 
 
