@@ -18,11 +18,13 @@ its seeds from its own (rng seed, cell, t, 1) substream. ``pool_map`` runs
 these (group, trial) tasks, or the re-samples, serially or in a process
 pool; the re-samples' graph goes to each worker once. Every draw comes from
 a substream of its own, so results are independent of execution order and
-worker count.
+worker count. ``summarize`` tallies each set of runs, a sweep cell's trials
+or the re-samples, into one ``CellSummary``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import IO, Sequence
@@ -58,17 +60,23 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class CellSummary:
-    params: LfrParams
+    """The tally of one set of runs: a sweep cell's trials, or the re-samples
+    on one graph (params None). Q, mixing and attempts cover the runs that
+    succeeded, seconds every run."""
+
+    params: LfrParams | None
     sigma: float
-    trials: int
+    trials: int  # runs that succeeded
     failures: int
     q_mean: float
     q_std: float
     q_min: float
     q_max: float
     seconds_mean: float
-    mixing_mean: float | None  # over the successful trials; None if none succeeded
+    mixing_mean: float | None  # None if no run succeeded
     attempts_mean: float | None
+    failure_causes: dict[str, int]  # exception class name -> runs it failed
+    uncovered: int  # runs whose seeds missed at least one community
 
 
 def membership_quality(pg: PlantedGraph, predicted: np.ndarray) -> float:
@@ -146,26 +154,29 @@ def run_sweep(
         for (ci, _), r in zip(group, records):
             results[ci * trials + ti] = r
     summaries = [
-        _summarize(params, sigma, results[ci * trials : (ci + 1) * trials]) for ci, (params, sigma) in enumerate(cells)
+        summarize(params, sigma, results[ci * trials : (ci + 1) * trials]) for ci, (params, sigma) in enumerate(cells)
     ]
     return results, summaries
 
 
-def _summarize(params: LfrParams, sigma: float, cell_results: list[TrialResult]) -> CellSummary:
-    good = [r for r in cell_results if r.ok]
+def summarize(params: LfrParams | None, sigma: float, records: Sequence[TrialResult]) -> CellSummary:
+    """The tally of records, which are the runs of one sweep cell or one graph's re-samples."""
+    good = [r for r in records if r.ok]
     qs = np.array([r.q for r in good]) if good else np.array([float("nan")])
     return CellSummary(
         params=params,
         sigma=sigma,
         trials=len(good),
-        failures=len(cell_results) - len(good),
+        failures=len(records) - len(good),
         q_mean=float(qs.mean()),
         q_std=float(qs.std()),
         q_min=float(qs.min()),
         q_max=float(qs.max()),
-        seconds_mean=float(np.mean([r.seconds for r in cell_results])),
+        seconds_mean=float(np.mean([r.seconds for r in records])),
         mixing_mean=float(np.mean([r.mixing for r in good])) if good else None,
         attempts_mean=float(np.mean([r.attempts for r in good])) if good else None,
+        failure_causes=dict(Counter(type(r.failure).__name__ for r in records if not r.ok)),
+        uncovered=sum(r.uncovered > 0 for r in records),
     )
 
 

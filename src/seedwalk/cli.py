@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO
@@ -73,15 +72,6 @@ def _write_manifest(fh: IO[str], args: argparse.Namespace, extra: dict) -> None:
     fh.write("\n")
 
 
-def _failure_report(records: list[bench.TrialResult]) -> dict:
-    """Manifest fields for a set of runs: failure count by exception class,
-    and how many runs' seeds missed at least one community."""
-    return {
-        "failure_causes": dict(Counter(type(r.failure).__name__ for r in records if not r.ok)),
-        "uncovered": sum(r.uncovered > 0 for r in records),
-    }
-
-
 @contextlib.contextmanager
 def _csv_out(path: Path):
     """Open an output file before the work that fills it, so an unwritable path
@@ -101,12 +91,13 @@ def _outputs(args: argparse.Namespace, paths: list[Path], manifest: Path, inputs
     input; open every output and then the manifest before any input is read, so an
     unwritable path fails first; write the manifest last; and if the run fails,
     remove every output. Yields the output streams, in the order of paths, and the
-    manifest fields, which already list the outputs and which the command adds to."""
+    manifest fields, which already list the inputs and outputs and which the command
+    adds to."""
     given = {Path(p).resolve() for p in inputs}
     for path in (*paths, manifest):
         if path.resolve() in given:
             raise UsageError(f"--out would overwrite the input file {path}")
-    extra = {"outputs": [str(path) for path in paths]}
+    extra = {"inputs": [str(p) for p in inputs], "outputs": [str(path) for path in paths]}
     with contextlib.ExitStack() as stack:
         streams = [stack.enter_context(_csv_out(path)) for path in paths]
         manifest_fh = stack.enter_context(_csv_out(manifest))
@@ -125,7 +116,6 @@ def cmd_detect(args) -> int:
         write_crisp_csv(aff, g, crisp_fh)
         extra.update(
             input={"n": g.n, "m": g.m, "duplicates_collapsed": g.duplicates_collapsed},
-            inputs=[str(args.edges), str(args.seeds)],
             solver_iterations=[r.iterations for r in aff.reports],
             solver_residuals=[r.relative_residual for r in aff.reports],
         )
@@ -203,6 +193,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+# a sweep cell's manifest entry: its mu and these summary fields
+CELL_FIELDS = ("sigma", "trials", "failures", "seconds_mean", "mixing_mean", "attempts_mean", "failure_causes",
+               "uncovered")
+
+
 def cmd_sweep(args) -> int:
     if any(lfr.seed_count(s, args.n) < 1 for s in args.sigma):
         raise UsageError(f"every sigma must give at least one seed among {args.n} nodes")
@@ -214,21 +209,9 @@ def cmd_sweep(args) -> int:
 
     out = Path(args.out)
     with _outputs(args, [out], out.with_suffix(".manifest.json")) as ((fh,), extra):
-        records, summaries = bench.run_sweep(cells, args.trials, args.rng_seed, jobs=args.jobs)
+        _, summaries = bench.run_sweep(cells, args.trials, args.rng_seed, jobs=args.jobs)
         bench.write_results_csv(summaries, fh)
-        extra["cells"] = [
-            {
-                "mu": s.params.mu,
-                "sigma": s.sigma,
-                "trials": s.trials,
-                "failures": s.failures,
-                "seconds_mean": s.seconds_mean,
-                "mixing_mean": s.mixing_mean,
-                "attempts_mean": s.attempts_mean,
-                **_failure_report(records[i * args.trials : (i + 1) * args.trials]),
-            }
-            for i, s in enumerate(summaries)
-        ]
+        extra["cells"] = [{"mu": s.params.mu, **{k: getattr(s, k) for k in CELL_FIELDS}} for s in summaries]
     failed = sum(s.failures for s in summaries)
     if failed:
         print(f"warning: {failed} trial(s) failed; cells marked incomplete", file=sys.stderr)
@@ -247,21 +230,20 @@ def cmd_histogram(args) -> int:
         if lfr.seed_count(args.sigma, pg.graph.n) < 1:
             raise UsageError(f"--sigma must give at least one seed among {pg.graph.n} nodes")
         records = bench.seed_resamples(pg, args.sigma, args.runs, args.rng_seed, jobs=args.jobs)
-        qualities = [r.q for r in records if r.ok]
-        if not qualities:
+        s = bench.summarize(None, args.sigma, records)
+        if not s.trials:
             raise records[0].failure
-        bench.write_histogram_csv(bench.histogram(qualities, args.bins), fh)
-        q_mean = float(sum(qualities) / len(qualities))
+        bench.write_histogram_csv(bench.histogram([r.q for r in records if r.ok], args.bins), fh)
         extra.update(
             input={"n": pg.graph.n, "m": pg.graph.m, "duplicates_collapsed": pg.graph.duplicates_collapsed},
-            q_mean=q_mean,
-            runs_ok=len(qualities),
-            **_failure_report(records),
+            q_mean=s.q_mean,
+            runs_ok=s.trials,
+            failure_causes=s.failure_causes,
+            uncovered=s.uncovered,
         )
-    failed = len(records) - len(qualities)
-    if failed:
-        print(f"warning: {failed} re-sample(s) failed; binned the {len(qualities)} that succeeded", file=sys.stderr)
-    print(f"{len(qualities)} runs: mean Q {q_mean:.3f}")
+    if s.failures:
+        print(f"warning: {s.failures} re-sample(s) failed; binned the {s.trials} that succeeded", file=sys.stderr)
+    print(f"{s.trials} runs: mean Q {s.q_mean:.3f}")
     return EXIT_OK
 
 
@@ -283,6 +265,7 @@ def _float_list(text: str) -> list[float]:
 
 
 AT_LEAST_ONE = _checked(int, lambda v: v >= 1, "positive integer")
+RNG_SEED = _checked(int, lambda v: v >= 0, "non-negative integer")
 TOLERANCE = _checked(float, lambda v: 0 < v < math.inf, "positive finite number")
 SIGMA = _checked(float, lambda v: 0 < v <= 1, "fraction in (0, 1]")
 MU_LIST = _checked(_float_list, bool, "number list")
@@ -333,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate an LFR-style benchmark graph")
     _add_lfr_flags(p, mu_list=False)
-    p.add_argument("--rng-seed", type=int, default=0)
+    p.add_argument("--rng-seed", type=RNG_SEED, default=0)
     p.add_argument("--out", required=True, help="output prefix (writes .edges, .truth)")
     p.set_defaults(func=cmd_generate)
 
@@ -342,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("seeds")
     p.add_argument("--node", required=True, help="non-seed node label to verify")
     p.add_argument("--walks", type=AT_LEAST_ONE, default=100_000)
-    p.add_argument("--rng-seed", type=int, default=0)
+    p.add_argument("--rng-seed", type=RNG_SEED, default=0)
     p.add_argument("--step-cap", type=AT_LEAST_ONE, default=walker.DEFAULT_STEP_CAP)
     _add_tol_flag(p)
     p.set_defaults(func=cmd_verify)
@@ -351,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lfr_flags(p, mu_list=True)
     p.add_argument("--sigma", type=SIGMA_LIST, required=True, help="seed fraction(s), comma separated")
     p.add_argument("--trials", type=AT_LEAST_ONE, default=100, help="runs per grid cell")
-    p.add_argument("--rng-seed", type=int, default=0)
+    p.add_argument("--rng-seed", type=RNG_SEED, default=0)
     p.add_argument("--jobs", type=AT_LEAST_ONE, default=_cpus(), help="parallel trial workers")
     p.add_argument("--out", required=True, help="results CSV path")
     p.set_defaults(func=cmd_sweep)
@@ -362,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=SIGMA, required=True)
     p.add_argument("--runs", type=AT_LEAST_ONE, default=1000)
     p.add_argument("--bins", type=AT_LEAST_ONE, default=20)
-    p.add_argument("--rng-seed", type=int, default=0)
+    p.add_argument("--rng-seed", type=RNG_SEED, default=0)
     p.add_argument("--jobs", type=AT_LEAST_ONE, default=_cpus())
     p.add_argument("--out", required=True, help="histogram CSV path")
     p.set_defaults(func=cmd_histogram)

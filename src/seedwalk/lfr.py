@@ -58,7 +58,7 @@ class LfrParams:
     rng_seed: int = 0
 
     def resolved_bounds(self) -> tuple[int, int, int, int]:
-        k_max = self.k_max if self.k_max is not None else max(2, min(int(3 * self.avg_k), self.n // 10))
+        k_max = self.k_max if self.k_max is not None else max(2, int(min(3 * self.avg_k, self.n // 10)))
         k_min = self.k_min if self.k_min is not None else _calibrate_k_min(self.avg_k, self.gamma, k_max)
         s_min = self.s_min if self.s_min is not None else 10
         s_max = self.s_max if self.s_max is not None else max(s_min, self.n // 5)

@@ -1,16 +1,22 @@
 import io
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seedwalk import GenerationError, LfrParams, ReachabilityError, load_edge_list, run_sweep
+from seedwalk import GenerationError, LfrParams, ParseError, ReachabilityError, load_edge_list, run_sweep
 from seedwalk import bench
 from seedwalk.bench import (
+    TrialResult,
     histogram,
     membership_quality,
     run_trial,
     seed_resample_qualities,
     seed_resamples,
+    summarize,
     write_histogram_csv,
     write_results_csv,
 )
@@ -204,3 +210,34 @@ def test_seed_choice_spreads_quality():
     qs = seed_resample_qualities(pg, 0.1, runs=15, rng_seed=15)
     assert len(set(qs)) > 1
     assert float(np.std(qs)) > 0.0
+
+
+FAILURES = st.sampled_from([GenerationError("no wiring"), ParseError("bad line"), ReachabilityError([0], ["a"])])
+SUCCESS = st.builds(
+    TrialResult, st.none(), st.just(0.1), st.integers(0, 99), st.floats(0, 1), st.floats(0, 10), st.integers(0, 2),
+    mixing=st.floats(0, 1), attempts=st.integers(1, 30),
+)
+FAILURE = st.builds(
+    TrialResult, st.none(), st.just(0.1), st.integers(0, 99), st.just(float("nan")), st.floats(0, 10),
+    st.integers(0, 2), FAILURES,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(SUCCESS, FAILURE), min_size=1, max_size=12))
+def test_summary_counts_every_run_once(records):
+    s = summarize(None, 0.1, records)
+    good = [r for r in records if r.ok]
+    assert s.trials == len(good) and s.trials + s.failures == len(records)
+    assert s.failure_causes == Counter(type(r.failure).__name__ for r in records if not r.ok)
+    assert s.uncovered == sum(r.uncovered > 0 for r in records)
+    assert s.seconds_mean == pytest.approx(math.fsum(r.seconds for r in records) / len(records))
+    # Q covers the successful runs only: a failed run's Q is NaN
+    if good:
+        qs = [r.q for r in good]
+        assert (s.q_min, s.q_max) == (min(qs), max(qs))
+        assert s.q_mean == pytest.approx(math.fsum(qs) / len(qs))
+        assert s.q_std == pytest.approx(float(np.std(qs)))
+    else:
+        assert all(math.isnan(x) for x in (s.q_mean, s.q_std, s.q_min, s.q_max))
+    assert (s.mixing_mean is None) == (s.attempts_mean is None) == (not good)

@@ -389,10 +389,16 @@ def test_detect_direct_over_cap_is_usage_error(tmp_path):
         ["sweep", "--n", "200", "--avg-k", "10", "--mu", "0.1", "--sigma", "0.2", "--out", "x", "--jobs", "0"],
         ["histogram", "e", "t", "--sigma", "0.2", "--out", "x", "--jobs", "-2"],
         ["detect", "e", "s", "--out", "x", "--jobs", "0"],
+        # numpy seeds no generator from a negative integer
+        ["generate", "--n", "200", "--avg-k", "10", "--mu", "0.1", "--rng-seed", "-1", "--out", "x"],
+        ["verify", "e", "s", "--node", "v", "--rng-seed", "-1"],
+        ["sweep", "--n", "200", "--avg-k", "10", "--mu", "0.1", "--sigma", "0.2", "--rng-seed", "-1", "--out", "x"],
+        ["histogram", "e", "t", "--sigma", "0.2", "--rng-seed", "-1", "--out", "x"],
     ],
     ids=["missing-positional", "unknown-subcommand", "bad-tol", "solver-flag", "sweep-tol", "histogram-tol",
          "tol-nan", "tol-inf", "tol-zero", "walks-zero", "bins-zero", "sweep-jobs-zero", "histogram-jobs-negative",
-         "detect-jobs-zero"],
+         "detect-jobs-zero", "generate-rng-seed-negative", "verify-rng-seed-negative", "sweep-rng-seed-negative",
+         "histogram-rng-seed-negative"],
 )
 def test_argparse_usage_errors_exit_64(argv, capsys):
     assert main(argv) == 64
@@ -439,6 +445,10 @@ LFR_FLAGS = ["--n", "200", "--avg-k", "10", "--mu", "0.1"]
         (["generate", "--n", str(10**30), "--avg-k", "10", "--mu", "0.2", "--out", "{tmp}/x"], 4),
         (["sweep", "--n", str(10**30), "--avg-k", "10", "--mu", "0.2", "--sigma", "0.1", "--trials", "1",
           "--jobs", "1", "--out", "{tmp}/s.csv"], 4),
+        # 3 * avg_k overflows to infinity: the default k_max is n/10, far below avg_k
+        (["generate", "--n", "100", "--avg-k", "1e308", "--mu", "0.2", "--out", "{tmp}/x"], 4),
+        (["sweep", "--n", "100", "--avg-k", "1e308", "--mu", "0.2", "--sigma", "0.1", "--trials", "1",
+          "--jobs", "1", "--out", "{tmp}/s.csv"], 4),
     ],
     ids=["detect-out", "generate-out", "sweep-out", "histogram-out", "generate-avg-k-nan", "sweep-avg-k-nan",
          "generate-s-max-above-n",
@@ -446,7 +456,8 @@ LFR_FLAGS = ["--n", "200", "--avg-k", "10", "--mu", "0.1"]
          "detect-second-out", "generate-second-out", "detect-manifest-dir", "generate-manifest-dir",
          "sweep-manifest-dir", "histogram-manifest-dir",
          "generate-k-max-not-below-n", "generate-degree-mean-unsettled",
-         "histogram-bins-beyond-numpy", "generate-n-beyond-numpy", "sweep-n-beyond-numpy"],
+         "histogram-bins-beyond-numpy", "generate-n-beyond-numpy", "sweep-n-beyond-numpy",
+         "generate-avg-k-overflow", "sweep-avg-k-overflow"],
 )
 def test_runtime_errors_exit_with_their_code(argv, code, fig_files, tmp_path, capsys, monkeypatch):
     edges, seeds = fig_files
@@ -525,11 +536,14 @@ def test_manifest_names_its_command_and_lists_every_other_output(argv, fig_files
     truth.write_text("".join(f"{lab} 0\n" for lab in dict.fromkeys(FIG_EDGES.split())))
     out = tmp_path / "out"
     out.mkdir()
-    assert main([arg.format(edges=edges, seeds=seeds, truth=truth, out=out) for arg in argv]) == 0
+    argv = [arg.format(edges=edges, seeds=seeds, truth=truth, out=out) for arg in argv]
+    assert main(argv) == 0
     [manifest_path] = out.glob("*.manifest.json")
     manifest = json.loads(manifest_path.read_text())
     assert manifest["subcommand"] == argv[0]
     assert sorted(manifest["outputs"]) == sorted(str(path) for path in out.iterdir() if path != manifest_path)
+    # the input files, in the order given: generate and sweep read none
+    assert manifest["inputs"] == [arg for arg in argv if arg in (str(edges), str(seeds), str(truth))]
 
 
 def test_lfr_params_take_every_lfr_flag():
