@@ -2,7 +2,8 @@
 
 Every command but verify writes a JSON manifest next to its outputs with the
 full flag set, rng seed, and artifact version, so outputs can be reproduced
-exactly. All randomness flows from --rng-seed.
+exactly; it also records the run's peak RSS. All randomness flows from
+--rng-seed.
 
 Outside input is checked in two places. Flag values are checked by argparse
 types, so a bad value is a usage error naming the flag. Errors raised while
@@ -66,10 +67,22 @@ def _write_manifest(fh: IO[str], args: argparse.Namespace, extra: dict) -> None:
         "rng_seed": flags.get("rng_seed"),
         "artifact_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        "peak_rss_mb": _peak_rss_mb(),
         **extra,
     }
     json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
     fh.write("\n")
+
+
+def _peak_rss_mb() -> float | None:
+    """The largest resident set so far of this process and of the workers it has
+    reaped, in MiB; None where the OS reports none (no `resource` module)."""
+    try:
+        import resource
+    except ImportError:  # Windows
+        return None
+    peak = max(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)  # bytes on macOS, KiB elsewhere
 
 
 @contextlib.contextmanager

@@ -537,13 +537,26 @@ def test_manifest_names_its_command_and_lists_every_other_output(argv, fig_files
     out = tmp_path / "out"
     out.mkdir()
     argv = [arg.format(edges=edges, seeds=seeds, truth=truth, out=out) for arg in argv]
+    resource = pytest.importorskip("resource")
+    floor = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     assert main(argv) == 0
+    ceiling = max(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     [manifest_path] = out.glob("*.manifest.json")
     manifest = json.loads(manifest_path.read_text())
     assert manifest["subcommand"] == argv[0]
     assert sorted(manifest["outputs"]) == sorted(str(path) for path in out.iterdir() if path != manifest_path)
     # the input files, in the order given: generate and sweep read none
     assert manifest["inputs"] == [arg for arg in argv if arg in (str(edges), str(seeds), str(truth))]
+    # this process's peak, in MiB: ru_maxrss counts KiB on Linux, bytes on macOS
+    unit = 1 << 20 if sys.platform == "darwin" else 1 << 10
+    assert floor / unit <= manifest["peak_rss_mb"] <= ceiling / unit
+
+
+def test_manifest_peak_rss_is_null_without_resource(fig_files, tmp_path, monkeypatch):
+    monkeypatch.setitem(sys.modules, "resource", None)  # as on Windows: the import fails
+    edges, seeds = fig_files
+    assert main(["detect", str(edges), str(seeds), "--jobs", "1", "--out", str(tmp_path / "run")]) == 0
+    assert json.loads((tmp_path / "run.manifest.json").read_text())["peak_rss_mb"] is None
 
 
 def test_lfr_params_take_every_lfr_flag():
