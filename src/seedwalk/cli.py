@@ -10,10 +10,10 @@ types, so a bad value is a usage error naming the flag. Errors raised while
 a command runs reach ``main``, which maps each kind to its exit code
 (EXIT_CODES) and prints one ``error:`` line instead of a traceback.
 
-Exit codes: 0 success, 1 an input file cannot be read or parsed or an output
-file cannot be written, 2 reachability failure, 3 solver non-convergence,
-4 infeasible generation parameters, 5 verify-gap violation, 64 usage error
-(argparse's own errors included).
+Exit codes: 0 success, 1 an input file cannot be read or parsed, an output
+file cannot be written or memory runs out, 2 reachability failure, 3 solver
+non-convergence, 4 infeasible generation parameters, 5 verify-gap violation,
+64 usage error (argparse's own errors included).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .detect import detect_multi, write_affinity_csv, write_crisp_csv
 from .errors import ConvergenceError, GenerationError, ParseError, ReachabilityError, SeedwalkError
 from .graph import load_edge_list, write_edge_list
 from .lfr import LfrParams
-from .markov import AbsorbingChain
+from .markov import build_chain
 from .seeds import load_seed_file
 
 EXIT_OK = 0
@@ -52,6 +52,7 @@ class UsageError(Exception):
 EXIT_CODES = {
     ParseError: 1,
     OSError: 1,
+    MemoryError: 1,
     ReachabilityError: 2,
     ConvergenceError: 3,
     GenerationError: 4,
@@ -182,15 +183,16 @@ def cmd_verify(args) -> int:
         raise UsageError(f"node {args.node!r} not in graph") from None
     if node in seeds:
         raise UsageError(f"node {args.node!r} is a seed; pick a non-seed node")
-    aff = detect_multi(g, seeds, tol=args.tol)
-    # detect_multi has checked reachability, so the chain need not check it again
-    chain = AbsorbingChain(g, seeds.ids)
+    chain = build_chain(g, seeds.ids)
+    t = int(np.searchsorted(chain.transient, node))
+    solved, report = solver.solve_row(solver.assemble(chain, seeds), t, tol=args.tol)
+    if not report.converged:
+        raise ConvergenceError([report])
     try:
         stats = walker.run_walks(chain, node, args.walks, args.rng_seed, step_cap=args.step_cap)
     except SeedwalkError:
-        # detect_multi proved every walk is absorbed, so only the cap can stop one
+        # build_chain proved every walk is absorbed, so only the cap can stop one
         raise UsageError(f"a walk from {args.node!r} exceeded --step-cap {args.step_cap}; raise the cap") from None
-    solved = aff.row_for(node)
     threshold = 4.0 * math.sqrt(0.25 / args.walks) + 1e-6
     worst = 0.0
     print(f"node {args.node}: solver vs {args.walks} walks (threshold {threshold:.6f})")
@@ -333,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output prefix (writes .edges, .truth)")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("verify", help="cross-check solver affinities against Monte Carlo walks")
+    p = sub.add_parser("verify", help="check one node's solver affinities, from one adjoint solve (not the bytes "
+                       "detect writes), against Monte Carlo walks")
     p.add_argument("edges")
     p.add_argument("seeds")
     p.add_argument("--node", required=True, help="non-seed node label to verify")
@@ -376,7 +379,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a bare MemoryError() has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 

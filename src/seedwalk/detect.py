@@ -57,20 +57,8 @@ class AffinityMatrix:
         """The solved rows of the transient nodes, in ascending id (a copy)."""
         return self.values[self.transient_ids]
 
-    def row_for(self, node: int) -> np.ndarray:
-        """Raw affinity vector of one node."""
-        if not 0 <= node < self.n:
-            raise IndexError(f"node id {node} out of range [0, {self.n})")
-        return self.values[node].copy()
 
-
-def detect_multi(
-    g: Graph,
-    seeds: SeedSet,
-    tol: float = solver.DEFAULT_TOL,
-    max_iter: int | None = None,
-    jobs: int = 1,
-) -> AffinityMatrix:
+def detect_multi(g: Graph, seeds: SeedSet, tol: float = solver.DEFAULT_TOL, jobs: int = 1) -> AffinityMatrix:
     """Affinity vectors of all nodes, one solve per community.
 
     The system is assembled and preconditioned once; the l right-hand sides
@@ -82,9 +70,7 @@ def detect_multi(
     chain = build_chain(g, seeds.ids)
     system = solver.assemble(chain, seeds)
     values = np.zeros((g.n, seeds.l))
-    _, reports = solver.solve_iterative_all(
-        system, tol=tol, max_iter=max_iter, jobs=jobs, out=values, rows=chain.transient
-    )
+    _, reports = solver.solve_iterative_all(system, tol=tol, jobs=jobs, out=values, rows=chain.transient)
     if not all(r.converged for r in reports):
         raise ConvergenceError(reports)
     # after the solve: pages touched before it would count in every forked worker's RSS

@@ -37,7 +37,7 @@ from __future__ import annotations
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from types import ModuleType
 from typing import TYPE_CHECKING, NamedTuple
@@ -186,7 +186,6 @@ def assemble(chain: AbsorbingChain, affinities: SeedSet) -> AbsorbingSystem:
 def solve_iterative_all(
     system: AbsorbingSystem,
     tol: float = DEFAULT_TOL,
-    max_iter: int | None = None,
     jobs: int = 1,
     out: np.ndarray | None = None,
     rows: np.ndarray | None = None,
@@ -198,16 +197,15 @@ def solve_iterative_all(
     one block. The grouping changes no bit of any column.
 
     A column converges when its true relative residual ||(D-A)x - b|| / ||b||
-    is at most tol; on budget exhaustion its last iterate is returned with
-    converged=False. A zero right-hand side short-circuits to the zero vector.
+    is at most tol; after 10 * dim + 100 iterations its last iterate is
+    returned, converged=False. A zero right-hand side gives the zero vector.
     Solution row i is written to row rows[i] of out, which is returned; by
     default out is a fresh zero dim x l array and rows is 0..dim-1. Columns
     with a zero right-hand side are not written, so out must hold zeros there.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iter is None:
-        max_iter = 10 * system.dim + 100
+    max_iter = 10 * system.dim + 100
     if out is None:
         out = np.zeros((system.dim, system.communities))
     if rows is None:
@@ -228,6 +226,22 @@ def solve_iterative_all(
         del x  # free it before this process solves the next block
     reports = [SolveReport(int(used[j]), float(rel[j]), bool(rel[j] <= tol)) for j in range(system.communities)]
     return out, reports
+
+
+def solve_row(system: AbsorbingSystem, t: int, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, SolveReport]:
+    """Row t of the solution, as l float64 values, and the report of its one solve.
+
+    D - A_TT is symmetric, so row t of (D - A_TT)^-1 b is y'b with y = (D - A_TT)^-1 e_t:
+    one PCG column, then one sum per column of b, and no dim x l solution. y[u] is the
+    expected visits to u of a walk from t over u's degree: the absorbed walk's Green's
+    function (Doyle & Snell 1984).
+    """
+    e_t = Compressed(np.array([0, 1]), np.array([t], dtype=np.int32), np.ones(1), (system.dim, 1))
+    y, (report,) = solve_iterative_all(replace(system, b=e_t), tol=tol)
+    b = system.b
+    # (astype: numpy's bincount of no entries is int64 whatever the weights)
+    row = np.bincount(np.repeat(np.arange(b.shape[1]), np.diff(b.indptr)), y[b.indices, 0] * b.data, b.shape[1])
+    return row.astype(np.float64, copy=False), report
 
 
 def _solve_block(system, cols, tol, max_iter) -> tuple:

@@ -36,7 +36,7 @@ def test_criterion_1_figure_example_exactness(fig_graph, fig_seeds):
     start = time.perf_counter()
     aff = detect_multi(fig_graph, fig_seeds)
     elapsed = time.perf_counter() - start
-    row = aff.row_for(fig_graph.id_of("v"))
+    row = aff.values[fig_graph.id_of("v")]
     assert abs(row[0] - 1 / 3) <= 1e-9
     assert abs(row[1] - 2 / 3) <= 1e-9
     assert elapsed < 1.0
@@ -49,7 +49,7 @@ def test_criterion_2_gamblers_ruin_closed_form(k):
     seeds = SeedSet([g.id_of("s"), g.id_of("t")], [[1.0], [0.0]])
     expected = np.array([1 - i / (k + 1) for i in range(1, k + 1)])
     aff = detect_multi(g, seeds, tol=1e-10)
-    got = np.array([aff.row_for(g.id_of(f"v{i}"))[0] for i in range(1, k + 1)])
+    got = np.array([aff.values[g.id_of(f"v{i}"), 0] for i in range(1, k + 1)])
     assert np.abs(got - expected).max() <= 1e-8
     if k == 100:
         _report("2 (gambler's-ruin closed form)")

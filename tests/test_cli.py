@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seedwalk import SeedSet, bench, cli, detect, lfr, write_seed_file
+from seedwalk import SeedSet, bench, cli, detect, lfr, solver, write_seed_file
 from seedwalk.cli import main
 from seedwalk.solver import BLOCK
 
@@ -152,6 +152,15 @@ def test_verify_walk_hitting_step_cap_is_usage_error(path_files, capsys):
     err = capsys.readouterr().err
     assert code == 64
     assert "error:" in err and "--step-cap 1" in err and "Traceback" not in err
+
+
+def test_verify_without_convergence_exits_3(fig_files, monkeypatch, capsys):
+    edges, seeds = fig_files
+    monkeypatch.setattr(solver, "_pcg", lambda *args: None)  # no iteration ever runs
+    code = main(["verify", str(edges), str(seeds), "--node", "v", "--walks", "100"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1 and "Traceback" not in err
 
 
 def test_generate_outputs(tmp_path):
@@ -407,6 +416,49 @@ def test_argparse_usage_errors_exit_64(argv, capsys):
 
 
 LFR_FLAGS = ["--n", "200", "--avg-k", "10", "--mu", "0.1"]
+
+
+def test_a_bare_memory_error_exits_1_with_a_named_error_line(fig_files, tmp_path, monkeypatch, capsys):
+    edges, seeds = fig_files
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()  # str() of it is empty
+
+    monkeypatch.setattr(cli, "load_edge_list", out_of_memory)
+    assert main(["detect", str(edges), str(seeds), "--jobs", "1", "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
+    assert not list(tmp_path.glob("x*"))
+
+
+MEMORY_PROBE = "import sys; sys.path.insert(0, sys.argv.pop(1)); from seedwalk.cli import run; run()"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux only")
+def test_running_out_of_memory_exits_1_with_one_error_line(tmp_path):
+    import resource
+
+    # each probe asks for far more than 1 GiB; the limit makes that allocation fail at once,
+    # so none of these may ever run without it
+    def one_gib():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    (tmp_path / "path.edges").write_text("".join(f"p{i} p{i + 1}\n" for i in range(99)))
+    (tmp_path / "path.seeds").write_text("p0 10000000 1\n")  # n x l = 100 x 10^7 affinities
+    src = str(Path(cli.__file__).resolve().parents[1])
+    # one BLAS thread, so numpy's import reserves the same address space on any runner
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    for argv in (
+        ["generate", "--n", "100000000", "--avg-k", "10", "--mu", "0.2", "--out", str(tmp_path / "g8")],
+        ["generate", "--n", "1000000000000", "--avg-k", "10", "--mu", "0.2", "--out", str(tmp_path / "g12")],
+        ["detect", str(tmp_path / "path.edges"), str(tmp_path / "path.seeds"), "--jobs", "1",
+         "--out", str(tmp_path / "d")],
+    ):
+        proc = subprocess.run([sys.executable, "-c", MEMORY_PROBE, src, *argv], preexec_fn=one_gib, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert len([line for line in proc.stderr.splitlines() if line.startswith("error:")]) == 1, proc.stderr
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["path.edges", "path.seeds"]
 
 
 @pytest.mark.parametrize(

@@ -31,9 +31,9 @@ def test_gamblers_ruin_profile():
     g = path_graph(3)
     seeds = SeedSet([g.id_of("s"), g.id_of("t")], [[1.0], [0.0]])
     aff = detect_multi(g, seeds)
-    assert aff.row_for(g.id_of("v1"))[0] == pytest.approx(0.75, abs=1e-10)
-    assert aff.row_for(g.id_of("v2"))[0] == pytest.approx(0.50, abs=1e-10)
-    assert aff.row_for(g.id_of("v3"))[0] == pytest.approx(0.25, abs=1e-10)
+    assert aff.values[g.id_of("v1"), 0] == pytest.approx(0.75, abs=1e-10)
+    assert aff.values[g.id_of("v2"), 0] == pytest.approx(0.50, abs=1e-10)
+    assert aff.values[g.id_of("v3"), 0] == pytest.approx(0.25, abs=1e-10)
 
 
 def test_all_seeds_one_gives_all_ones():
@@ -45,7 +45,7 @@ def test_all_seeds_one_gives_all_ones():
 
 def test_fig_multi_community(fig_graph, fig_seeds):
     aff = detect_multi(fig_graph, fig_seeds)
-    row = aff.row_for(fig_graph.id_of("v"))
+    row = aff.values[fig_graph.id_of("v")]
     assert row[0] == pytest.approx(1 / 3, abs=1e-10)
     assert row[1] == pytest.approx(2 / 3, abs=1e-10)
 
@@ -120,7 +120,7 @@ def test_crisp_argmax_and_ties(fig_graph, fig_seeds):
     for aff, given in ((aff, fig_seeds), (detect_multi(g, seeds), seeds)):
         crisp = assign_crisp(aff)
         assert isinstance(crisp, np.ndarray) and crisp.dtype == np.int64 and crisp.shape == (aff.n,)
-        assert crisp.tolist() == [int(np.argmax(aff.row_for(v))) for v in range(aff.n)]
+        assert crisp.tolist() == [int(np.argmax(aff.values[v])) for v in range(aff.n)]
         assert np.array_equal(crisp[given.ids], np.argmax(given.rows, axis=1))
 
 
@@ -137,9 +137,6 @@ def test_values_are_node_ordered(fig_graph):
         assert np.array_equal(aff.values[ids], seeds.rows)
         assert np.array_equal(aff.transient_ids, np.setdiff1d(np.arange(g.n), ids))
         assert np.array_equal(aff.rows, aff.values[aff.transient_ids])
-        assert all(np.array_equal(aff.row_for(v), aff.values[v]) for v in range(g.n))
-        with pytest.raises(IndexError):
-            aff.row_for(g.n)
 
 
 def test_crisp_single_community(fig_graph):
@@ -174,15 +171,21 @@ def test_all_nodes_seeds_degenerate():
     assert crisp[1] == 0 and crisp[0] == 1
 
 
-def test_iteration_budget_exhaustion_raises():
+def test_iteration_budget_exhaustion_raises(monkeypatch):
     from seedwalk import ConvergenceError
 
     rng = np.random.default_rng(55)
     g = random_connected_graph(rng, 200)
     ids = np.sort(rng.choice(g.n, size=10, replace=False))
     seeds = SeedSet(ids, np.ones((ids.size, 1)))
+    pcg = solver._pcg
+
+    def one_iteration(L, diag, B, X, used, cols, tol, max_iter):
+        pcg(L, diag, B, X, used, cols, tol, 1)  # a budget of one iteration, spent in the first pass
+
+    monkeypatch.setattr(solver, "_pcg", one_iteration)
     with pytest.raises(ConvergenceError) as exc:
-        detect_multi(g, seeds, max_iter=1)
+        detect_multi(g, seeds)
     # worker processes send it back pickled
     copy = pickle.loads(pickle.dumps(exc.value))
     assert copy.reports == exc.value.reports and str(copy) == str(exc.value)
@@ -211,7 +214,7 @@ def test_solver_walker_agreement():
     for v in chain.transient[rng.choice(chain.transient.size, size=3, replace=False)]:
         stats = run_walks(chain, int(v), walks=100_000, rng_seed=7)
         for i in range(2):
-            assert abs(aff.row_for(int(v))[i] - estimate_affinity(stats, seeds, i)) <= 0.01
+            assert abs(aff.values[v, i] - estimate_affinity(stats, seeds, i)) <= 0.01
 
 
 def test_affinity_csv_format(fig_graph, fig_seeds):

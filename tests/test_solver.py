@@ -14,7 +14,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seedwalk import Graph, SeedSet, build_chain, load_edge_list, solver
+from seedwalk import Graph, SeedSet, build_chain, detect_multi, load_edge_list, solver
 from seedwalk.solver import BLOCK, Compressed, SolveReport, assemble, solve_iterative_all
 
 from conftest import dense_absorption_oracle, neighbors, one_seed_per_community, path_graph, random_connected_graph
@@ -384,6 +384,41 @@ def test_a_block_restarts_from_its_current_iterate(monkeypatch):
     assert restarted.count(False) == 2 and any(restarted)
     assert all(r.converged and r.relative_residual <= tol for r in reports)
     assert np.abs(forced - plain).max() <= 10 * tol
+
+
+@pytest.mark.parametrize("fuzzy", [False, True], ids=["indicator", "fuzzy"])
+def test_adjoint_row_matches_the_row_of_detect_multi(fuzzy):
+    # row t of (D - A_TT)^-1 b from the one column (D - A_TT)^-1 e_t: each solve
+    # meets tol on its own, so the two rows agree to within a few tol
+    rng = np.random.default_rng(47)
+    g = random_connected_graph(rng, 300)
+    ids = np.sort(rng.choice(g.n, size=30, replace=False))
+    rows = np.eye(5)[rng.integers(0, 5, ids.size)]
+    if fuzzy:  # every third seed also in the next community, every affinity below 1
+        rows[::3] += 0.5 * np.roll(rows[::3], 1, axis=1)
+        rows *= rng.uniform(0.2, 0.6, (ids.size, 1))
+    seeds = SeedSet(ids, rows)
+    chain = build_chain(g, seeds.ids)
+    system = assemble(chain, seeds)
+    for tol in (1e-6, 1e-8, 1e-10):
+        aff = detect_multi(g, seeds, tol=tol)
+        for t in range(0, system.dim, 9):
+            row, report = solver.solve_row(system, t, tol=tol)
+            assert row.dtype == np.float64 and row.shape == (5,)
+            assert report.converged and 0 < report.iterations and report.relative_residual <= tol
+            assert np.abs(row - aff.values[chain.transient[t]]).max() <= 10 * tol
+
+
+def test_adjoint_row_of_all_zero_seeds_is_float64_zero():
+    rng = np.random.default_rng(53)
+    g = random_connected_graph(rng, 60)
+    ids = np.sort(rng.choice(g.n, size=6, replace=False))
+    system = assemble(build_chain(g, ids), SeedSet(ids, np.zeros((ids.size, 3))))
+    assert system.b.data.size == 0
+    for t in range(system.dim):
+        row, report = solver.solve_row(system, t)
+        assert row.dtype == np.float64 and row.tolist() == [0.0, 0.0, 0.0] and not np.signbit(row).any()
+        assert report.converged
 
 
 def test_zero_rhs_short_circuits():
