@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO
@@ -33,7 +34,7 @@ from typing import IO
 import numpy as np
 
 from . import __version__, bench, lfr, solver, walker
-from .detect import detect_multi, write_affinity_csv, write_crisp_csv
+from .detect import detect_multi, write_affinity_csv
 from .errors import ConvergenceError, GenerationError, ParseError, ReachabilityError, SeedwalkError
 from .graph import load_edge_list, write_edge_list
 from .lfr import LfrParams
@@ -122,16 +123,18 @@ def _outputs(args: argparse.Namespace, paths: list[Path], manifest: Path, inputs
 def cmd_detect(args) -> int:
     paths = [Path(f"{args.out}.affinity.csv"), Path(f"{args.out}.crisp.csv")]
     manifest = Path(f"{args.out}.manifest.json")
-    with _outputs(args, paths, manifest, (args.edges, args.seeds)) as ((affinity_fh, crisp_fh), extra):
+    outputs = _outputs(args, paths, manifest, (args.edges, args.seeds))
+    # the solved blocks wait beside the outputs in a file with no name, which no run can leave behind
+    with outputs as ((affinity_fh, crisp_fh), extra), tempfile.TemporaryFile(dir=paths[0].parent) as spill:
         g = load_edge_list(args.edges)
         seeds = load_seed_file(args.seeds, g)
-        aff = detect_multi(g, seeds, tol=args.tol, jobs=args.jobs)
-        write_affinity_csv(aff, g, affinity_fh, jobs=args.jobs)
-        write_crisp_csv(aff, g, crisp_fh)
+        aff = detect_multi(g, seeds, tol=args.tol, jobs=args.jobs, spill=spill)
+        write_affinity_csv(aff, g, affinity_fh, jobs=args.jobs, crisp=crisp_fh)
         extra.update(
             input={"n": g.n, "m": g.m, "duplicates_collapsed": g.duplicates_collapsed},
             solver_iterations=[r.iterations for r in aff.reports],
             solver_residuals=[r.relative_residual for r in aff.reports],
+            spill_bytes=spill.seek(0, os.SEEK_END),
         )
     if args.verbose:
         print(f"{g.n} nodes, {g.m} edges, {len(seeds)} seeds, {seeds.l} communities")
@@ -323,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="compute affinity vectors for all non-seed nodes")
     p.add_argument("edges", help="edge list: two whitespace-separated labels per line, '#' comments")
     p.add_argument("seeds", help="seed file: `node community affinity` per line")
-    p.add_argument("--out", required=True, help="output prefix (writes .affinity.csv, .crisp.csv)")
+    p.add_argument("--out", required=True, help="output prefix (writes .affinity.csv, .crisp.csv); the solved "
+                   "affinities wait in an unnamed temporary file in its directory, 8 bytes per value")
     _add_tol_flag(p)
     p.add_argument("--jobs", type=AT_LEAST_ONE, default=_cpus(), help="worker processes")
     p.add_argument("--verbose", action="store_true")

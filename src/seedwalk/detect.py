@@ -26,6 +26,10 @@ from .seeds import SeedSet
 # Peak RSS of `detect --jobs 2` on detect_wide (n 10^4, l 217; 2 vCPUs, medians of
 # 6): 65.9 MB at 2**14, 65.9 at 2**16, 74.4 at 2**18; 2**14 only adds tasks
 CHUNK = 1 << 16
+# the CSV writers read an answer in tiles of whole chunks and at least this many rows:
+# a spilled answer costs one read per solve block and tile, so that small chunks
+# (26 rows at l = 2,485) do not multiply the reads. A tile of an AffinityMatrix is a view
+TILE_ROWS = 256
 
 
 class AffinityMatrix:
@@ -57,22 +61,75 @@ class AffinityMatrix:
         """The solved rows of the transient nodes, in ascending id (a copy)."""
         return self.values[self.transient_ids]
 
+    def tile(self, i: int, j: int) -> np.ndarray:
+        """Rows i to j - 1 of values (a view)."""
+        return self.values[i:j]
 
-def detect_multi(g: Graph, seeds: SeedSet, tol: float = solver.DEFAULT_TOL, jobs: int = 1) -> AffinityMatrix:
+
+class SpilledAffinities:
+    """The affinities of detect_multi(..., spill=file), held in the file: each
+    solved block's dim x width columns C-ordered, block after block, so the
+    columns follow `live` (the communities whose seed affinities are not all
+    zero; the others are zero). The seed rows stay in memory. tile(i, j)
+    builds rows i to j - 1 with one read per block; only this process reads."""
+
+    __slots__ = ("n", "l", "transient_ids", "reports", "_file", "_bounds", "_live", "_seeds")
+
+    def __init__(self, file, blocks: list[np.ndarray], seeds: SeedSet, n: int, transient_ids, reports):
+        self.n, self.l, self.transient_ids, self.reports = n, seeds.l, transient_ids, reports
+        self._file, self._seeds = file, seeds
+        self._bounds = np.cumsum([0] + [cols.size for cols in blocks]).tolist()  # where each block's columns start
+        self._live = np.concatenate([np.zeros(0, np.intp), *blocks])
+
+    def tile(self, i: int, j: int) -> np.ndarray:
+        """Rows i to j - 1 of the n x l affinities (a new array)."""
+        j = min(j, self.n)
+        a, b = np.searchsorted(self.transient_ids, (i, j)).tolist()
+        solved, dim = np.empty((b - a, self._live.size)), self.transient_ids.size
+        for c0, c1 in zip(self._bounds, self._bounds[1:]):
+            part = np.empty((b - a, c1 - c0))
+            self._file.seek(8 * (dim * c0 + a * (c1 - c0)))
+            if self._file.readinto(part) != part.nbytes:
+                raise OSError("the spill file ends before the solved block it should hold")
+            solved[:, c0:c1] = part
+        out, rows = np.zeros((j - i, self.l)), self.transient_ids[a:b] - i
+        # whole rows where every community was solved: a column index costs ten times more
+        out[(rows,) if self._live.size == self.l else np.ix_(rows, self._live)] = solved
+        s, e = np.searchsorted(self._seeds.ids, (i, j))
+        out[self._seeds.ids[s:e] - i] = self._seeds.rows[s:e]
+        return out
+
+
+def detect_multi(g: Graph, seeds: SeedSet, tol: float = solver.DEFAULT_TOL, jobs: int = 1,
+                 spill: IO[bytes] | None = None) -> AffinityMatrix | SpilledAffinities:
     """Affinity vectors of all nodes, one solve per community.
 
     The system is assembled and preconditioned once; the l right-hand sides
-    reuse it in up to `jobs` processes, and each solved block is written
-    straight into the n x l result, so no whole solution is held twice.
+    reuse it in up to `jobs` processes. Each solved block is written straight
+    into the n x l AffinityMatrix returned, so no whole solution is held twice;
+    or, given an empty binary file `spill`, appended to it, and a
+    SpilledAffinities over that file is returned, so no n x l array is held.
     Raises ReachabilityError if some node cannot reach a seed,
     ConvergenceError if the solver runs out of budget.
     """
     chain = build_chain(g, seeds.ids)
     system = solver.assemble(chain, seeds)
-    values = np.zeros((g.n, seeds.l))
-    _, reports = solver.solve_iterative_all(system, tol=tol, jobs=jobs, out=values, rows=chain.transient)
+    if spill is None:
+        values = np.zeros((g.n, seeds.l))
+
+        def sink(cols, x):
+            values[np.ix_(chain.transient, cols)] = x
+    else:
+        blocks = []
+
+        def sink(cols, x):
+            blocks.append(cols)
+            spill.write(x)
+    _, reports = solver.solve_iterative_all(system, tol=tol, jobs=jobs, sink=sink)
     if not all(r.converged for r in reports):
         raise ConvergenceError(reports)
+    if spill is not None:
+        return SpilledAffinities(spill, blocks, seeds, g.n, chain.transient, reports)
     # after the solve: pages touched before it would count in every forked worker's RSS
     values[seeds.ids] = seeds.rows
     return AffinityMatrix(values, chain.transient, reports)
@@ -90,16 +147,32 @@ def _csv_field(label: str) -> str:
     return label
 
 
-def write_affinity_csv(aff: AffinityMatrix, g: Graph, stream: IO[str], jobs: int = 1) -> None:
+def write_affinity_csv(aff: AffinityMatrix | SpilledAffinities, g: Graph, stream: IO[str], jobs: int = 1,
+                       crisp: IO[str] | None = None) -> None:
     """One row per node: label then printf `%.9g` of each affinity clamped to [0, 1].
     Chunks of about CHUNK cells (l per row, and 8 for its label and newline) are
     formatted in up to `jobs` processes, each sent with only its own rows and
-    labels and sliced only shortly before its turn, and written in order as they
-    arrive, so the bytes do not depend on `jobs`."""
+    labels, read by aff.tile only shortly before its turn, and written in order
+    as they arrive, so the bytes do not depend on `jobs`. Given a stream crisp,
+    write_crisp_csv's bytes go there, taken from the same tiles."""
     stream.write("node," + ",".join(f"c{i}" for i in range(aff.l)) + "\n")
+    stream.writelines(pool_map(_format_rows, _chunks(aff, g, crisp), jobs))
+
+
+def _chunks(aff: AffinityMatrix | SpilledAffinities, g: Graph, crisp: IO[str] | None):
+    """(values, labels) of each CSV chunk, in order, sliced from tiles of whole chunks
+    and at least TILE_ROWS rows; each tile's crisp rows go to crisp, if given."""
+    if crisp is not None:
+        crisp.write("node,community\n")
     rows = max(1, CHUNK // (aff.l + 8))
-    tasks = ((aff.values[i : i + rows], g.labels[i : i + rows]) for i in range(0, aff.n, rows))
-    stream.writelines(pool_map(_format_rows, tasks, jobs))
+    span = rows * -(-TILE_ROWS // rows)
+    for i in range(0, aff.n, span):
+        tile, labels = aff.tile(i, i + span), g.labels[i : i + span]
+        if crisp is not None:
+            cells = zip(map(_csv_field, labels), tile.argmax(1).tolist())
+            crisp.write("".join([f"{label},{c}\n" for label, c in cells]))
+        for k in range(0, len(labels), rows):
+            yield tile[k : k + rows], labels[k : k + rows]
 
 
 def _format_rows(values: np.ndarray, labels: list[str]) -> str:
@@ -213,7 +286,7 @@ def _g9_cells(values: np.ndarray, cells: np.ndarray) -> None:
         cells[divmod(p, cells.shape[1])] = np.frombuffer((b",%.9g" % v).ljust(16, b"\xff"), "<u8")
 
 
-def write_crisp_csv(aff: AffinityMatrix, g: Graph, stream: IO[str]) -> None:
-    cells = zip(map(_csv_field, g.labels), assign_crisp(aff).tolist())
-    stream.write("node,community\n")
-    stream.write("".join([f"{label},{c}\n" for label, c in cells]))
+def write_crisp_csv(aff: AffinityMatrix | SpilledAffinities, g: Graph, stream: IO[str]) -> None:
+    """One row per node: label then its argmax community, ties to the lowest index."""
+    for _ in _chunks(aff, g, stream):
+        pass

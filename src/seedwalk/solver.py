@@ -13,7 +13,7 @@ stay sparse (most transient nodes border no seed) and are solved by
 preconditioned conjugate gradient in balanced blocks: of at most BLOCK
 columns in up to `jobs` worker processes, or, in one process, of as many as
 keep one working array within BLOCK_BYTES. Each block densifies only its own
-columns, and its solution is written straight into the caller's array.
+columns, and its solution goes straight to the caller's sink.
 
 Every column comes out bit-identical to a solve of it alone, because every
 per-column sum runs row by row: the working arrays stay C-ordered and a lone
@@ -40,7 +40,7 @@ import sys
 from dataclasses import dataclass, replace
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from types import ModuleType
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -187,9 +187,8 @@ def solve_iterative_all(
     system: AbsorbingSystem,
     tol: float = DEFAULT_TOL,
     jobs: int = 1,
-    out: np.ndarray | None = None,
-    rows: np.ndarray | None = None,
-) -> tuple[np.ndarray, list[SolveReport]]:
+    sink: Callable[[np.ndarray, np.ndarray], None] | None = None,
+) -> tuple[np.ndarray | None, list[SolveReport]]:
     """PCG over many right-hand sides in balanced blocks, in up to `jobs` processes.
 
     A block holds at most BLOCK columns when jobs > 1; in one process it
@@ -199,17 +198,19 @@ def solve_iterative_all(
     A column converges when its true relative residual ||(D-A)x - b|| / ||b||
     is at most tol; after 10 * dim + 100 iterations its last iterate is
     returned, converged=False. A zero right-hand side gives the zero vector.
-    Solution row i is written to row rows[i] of out, which is returned; by
-    default out is a fresh zero dim x l array and rows is 0..dim-1. Columns
-    with a zero right-hand side are not written, so out must hold zeros there.
+    Each block is handed, in task order, to sink(cols, X): X is the C-ordered
+    dim x len(cols) solution of the ascending columns cols, and the blocks
+    cover, in order, exactly the columns with a nonzero right-hand side; the
+    others are zero and never handed over. By default the sink writes the
+    blocks into a fresh zero dim x l array, which is returned (else None).
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     max_iter = 10 * system.dim + 100
-    if out is None:
-        out = np.zeros((system.dim, system.communities))
-    if rows is None:
-        rows = np.arange(system.dim)
+    out = np.zeros((system.dim, system.communities)) if sink is None else None
+    if sink is None:
+        def sink(cols, x):
+            out[:, cols] = x
     used, rel = np.zeros(system.communities, dtype=np.int64), np.zeros(system.communities)
     # a sum of squares is zero exactly when every square is, in any order:
     # these are the columns whose dense norm ||b|| is positive
@@ -222,9 +223,10 @@ def solve_iterative_all(
     jobs = min(max(jobs, 1), blocks)
     tasks = [(cols, tol, max_iter) for cols in np.array_split(live, -(-blocks // jobs) * jobs)] if blocks else []
     for cols, x, n, r in pool_map(_solve_block, tasks, jobs, shared=(system,)):
-        out[np.ix_(rows, cols)], used[cols], rel[cols] = x, n, r
+        sink(cols, x)
+        used[cols], rel[cols] = n, r
         del x  # free it before this process solves the next block
-    reports = [SolveReport(int(used[j]), float(rel[j]), bool(rel[j] <= tol)) for j in range(system.communities)]
+    reports = [SolveReport(n, r, r <= tol) for n, r in zip(used.tolist(), rel.tolist())]
     return out, reports
 
 

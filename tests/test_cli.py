@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -352,6 +353,89 @@ def test_detect_with_one_block_and_one_chunk_starts_no_pool(fig_files, tmp_path,
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     edges, seeds = fig_files
     assert main(["detect", str(edges), str(seeds), "--jobs", "4", "--out", str(tmp_path / "x")]) == 0
+
+
+RING_COMMUNITIES = 2 * BLOCK + 8  # three solve blocks
+
+
+def _ring_files(directory: Path):
+    """A 60-node ring with chords, and fuzzy seeds at 3 of its nodes over RING_COMMUNITIES communities."""
+    edges, seeds = directory / "ring.edges", directory / "ring.seeds"
+    edges.write_text("".join(f"n{v} n{(v + 1) % 60}\nn{v} n{(v + 7) % 60}\n" for v in range(60)))
+    seeds.write_text("".join(f"n{20 * (c % 3)} {c} {0.5 + c / 100}\nn{20 * ((c + 1) % 3)} {c} 0.25\n"
+                             for c in range(RING_COMMUNITIES)))
+    return edges, seeds
+
+
+def test_detect_leaves_only_its_outputs_in_the_out_directory(tmp_path, monkeypatch, capsys):
+    # the solved blocks go to an unnamed temporary file in the --out directory: a run
+    # that succeeds leaves its three outputs there, and a run that fails none
+    edges, seeds = _ring_files(tmp_path)
+    (tmp_path / "split.edges").write_text("a b\nb c\nd e\n")
+    (tmp_path / "split.seeds").write_text("a 0 1\nc 1 1\n")
+    outputs = ["run.affinity.csv", "run.crisp.csv", "run.manifest.json"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import multiprocessing, sys; sys.path.insert(0, sys.argv.pop(1)); multiprocessing.set_start_method("
+            "'forkserver'); from seedwalk.cli import main; sys.exit(main(sys.argv[1:]))")
+    for run in ("1", "2", "forkserver"):
+        out = tmp_path / run
+        out.mkdir()
+        argv = ["detect", str(edges), str(seeds), "--out", str(out / "run")]
+        if run == "forkserver":
+            subprocess.run([sys.executable, "-c", code, src, *argv, "--jobs", "2"], check=True)
+        else:
+            assert main([*argv, "--jobs", run]) == 0
+        assert sorted(path.name for path in out.iterdir()) == outputs
+    monkeypatch.setattr(solver, "_pcg", lambda *args: None)  # no iteration ever runs
+    for run, inputs, exit_code in (("crisp-dir", (edges, seeds), 1), ("split", ("split.edges", "split.seeds"), 2),
+                                   ("no-pcg", (edges, seeds), 3)):
+        out = tmp_path / run
+        out.mkdir()
+        if run == "crisp-dir":
+            (out / "run.crisp.csv").mkdir()
+        argv = ["detect", *(str(tmp_path / p) for p in inputs), "--jobs", "1", "--out", str(out / "run")]
+        assert main(argv) == exit_code
+        assert [path.name for path in out.iterdir() if path.is_file()] == []
+    assert capsys.readouterr().err.count("error:") == 3
+
+
+def test_detect_manifest_counts_the_spilled_bytes(tmp_path):
+    # the temporary answer file holds the transient rows of each solved column: 3 of the
+    # 60 ring nodes are seeds, and a community whose seed affinities are all zero is not solved
+    edges, seeds = _ring_files(tmp_path)
+    lines, l = seeds.read_text().splitlines(), RING_COMMUNITIES
+    for name, zero, spilled in (("one", {"5"}, 57 * (l - 1) * 8), ("all", {str(c) for c in range(l)}, 0)):
+        path = tmp_path / f"{name}.seeds"
+        path.write_text("".join(f"{v} {c} {0 if c in zero else a}\n" for v, c, a in map(str.split, lines)))
+        assert main(["detect", str(edges), str(path), "--jobs", "2", "--out", str(tmp_path / name)]) == 0
+        assert json.loads((tmp_path / f"{name}.manifest.json").read_text())["spill_bytes"] == spilled
+
+
+def test_detect_keeps_the_n_by_l_answer_off_the_heap(tmp_path, monkeypatch):
+    # the CLI holds one solve block and one CSV tile, never the n x l affinities: with narrow
+    # blocks and small chunks, nothing else that detect holds comes near half of them
+    prefix = tmp_path / "g"
+    assert main(["generate", "--n", "5000", "--avg-k", "8", "--k-max", "20", "--mu", "0.2", "--s-min", "10",
+                 "--s-max", "30", "--rng-seed", "1", "--out", str(prefix)]) == 0
+    pg = lfr.load_planted(f"{prefix}.edges", f"{prefix}.truth")
+    seeds, _ = lfr.sample_seeds(pg, 0.1, np.random.default_rng(1))
+    with open(f"{prefix}.seeds", "w", encoding="utf-8") as fh:
+        write_seed_file(seeds, pg.graph, fh)
+    answer = pg.graph.n * seeds.l * 8
+    assert answer >= 8 << 20
+    monkeypatch.setattr(solver, "BLOCK", 8)
+    monkeypatch.setattr(solver, "BLOCK_BYTES", 0)
+    monkeypatch.setattr(detect, "CHUNK", 1 << 14)
+    # a loose tolerance only shortens the solve: no array's size depends on it
+    argv = ["detect", f"{prefix}.edges", f"{prefix}.seeds", "--jobs", "1", "--tol", "1e-3",
+            "--out", str(tmp_path / "run")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < answer / 2
 
 
 def test_detect_nonconvergence_exit_3(fig_files, tmp_path, monkeypatch):

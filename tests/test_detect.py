@@ -1,5 +1,6 @@
 import io
 import pickle
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -100,6 +101,43 @@ def test_detect_holds_the_answer_plus_one_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < g.n * seeds.l * 8 + 14 * dim * BLOCK * 8
+
+
+@pytest.mark.parametrize("l, uncovered, jobs", [(11, 4, 1), (11, 4, 2), (11, None, 2), (1, None, 1)])
+def test_spilled_answer_writes_the_bytes_of_the_matrix(monkeypatch, l, uncovered, jobs):
+    # the answer read back from the spill file in row tiles prints the same bytes as the
+    # n x l matrix. Blocks of at most 4 columns (4, 3, 3 of 10 live ones), chunks of 5 rows
+    # and tiles of 15 split the 62 rows unevenly; an uncovered community is never solved
+    # or stored and must print 0, and the seed rows must land inside their tiles
+    monkeypatch.setattr(solver, "BLOCK", 4)
+    monkeypatch.setattr(solver, "BLOCK_BYTES", 0)
+    monkeypatch.setattr(detect, "CHUNK", 5 * (l + 8))
+    monkeypatch.setattr(detect, "TILE_ROWS", 11)
+    rng = np.random.default_rng(83)
+    g = random_connected_graph(rng, 62)
+    ids = np.sort(rng.choice(g.n, size=12, replace=False))
+    rows = rng.uniform(0.0, 1.0, (ids.size, l)) * (rng.random((ids.size, l)) < 0.5)
+    rows[np.arange(ids.size), rng.integers(l, size=ids.size)] = rng.uniform(0.2, 1.0, ids.size)
+    if uncovered is not None:
+        rows[:, uncovered] = 0.0
+    seeds = SeedSet(ids, rows)
+    aff = detect_multi(g, seeds)
+    expected_affinity, expected_crisp = io.StringIO(), io.StringIO()
+    write_affinity_csv(aff, g, expected_affinity)
+    write_crisp_csv(aff, g, expected_crisp)
+    with tempfile.TemporaryFile() as fh:
+        spilled = detect_multi(g, seeds, jobs=jobs, spill=fh)
+        assert fh.seek(0, 2) == (g.n - ids.size) * (l - (uncovered is not None)) * 8
+        assert spilled.tile(0, g.n).tobytes() == aff.values.tobytes()
+        assert [(r.iterations, r.relative_residual) for r in spilled.reports] == [
+            (r.iterations, r.relative_residual) for r in aff.reports]
+        affinity, crisp, crisp_alone = io.StringIO(), io.StringIO(), io.StringIO()
+        write_affinity_csv(spilled, g, affinity, jobs=jobs, crisp=crisp)
+        write_crisp_csv(spilled, g, crisp_alone)
+    assert affinity.getvalue() == expected_affinity.getvalue()
+    assert crisp.getvalue() == crisp_alone.getvalue() == expected_crisp.getvalue()
+    if uncovered is not None:
+        assert {line.split(",")[1 + uncovered] for line in affinity.getvalue().splitlines()[1:]} == {"0"}
 
 
 def test_crisp_argmax_and_ties(fig_graph, fig_seeds):
