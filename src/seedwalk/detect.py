@@ -26,10 +26,6 @@ from .seeds import SeedSet
 # Peak RSS of `detect --jobs 2` on detect_wide (n 10^4, l 217; 2 vCPUs, medians of
 # 6): 65.9 MB at 2**14, 65.9 at 2**16, 74.4 at 2**18; 2**14 only adds tasks
 CHUNK = 1 << 16
-# the CSV writers read an answer in tiles of whole chunks and at least this many rows:
-# a spilled answer costs one read per solve block and tile, so that small chunks
-# (26 rows at l = 2,485) do not multiply the reads. A tile of an AffinityMatrix is a view
-TILE_ROWS = 256
 
 
 class AffinityMatrix:
@@ -67,17 +63,18 @@ class AffinityMatrix:
 
 
 class SpilledAffinities:
-    """The affinities of detect_multi(..., spill=file), held in the file: each
-    solved block's dim x width columns C-ordered, block after block, so the
-    columns follow `live` (the communities whose seed affinities are not all
-    zero; the others are zero). The seed rows stay in memory. tile(i, j)
-    builds rows i to j - 1 with one read per block; only this process reads."""
+    """The affinities of detect_multi(..., spill=file), held in the file from
+    offset base on: each solved block's dim x width columns C-ordered, block
+    after block, so the columns follow `live` (the communities whose seed
+    affinities are not all zero; the others are zero). The seed rows stay in
+    memory. tile(i, j) builds rows i to j - 1 with one read per block; only
+    this process reads."""
 
-    __slots__ = ("n", "l", "transient_ids", "reports", "_file", "_bounds", "_live", "_seeds")
+    __slots__ = ("n", "l", "transient_ids", "reports", "_file", "_base", "_bounds", "_live", "_seeds")
 
-    def __init__(self, file, blocks: list[np.ndarray], seeds: SeedSet, n: int, transient_ids, reports):
+    def __init__(self, file, base: int, blocks: list[np.ndarray], seeds: SeedSet, n: int, transient_ids, reports):
         self.n, self.l, self.transient_ids, self.reports = n, seeds.l, transient_ids, reports
-        self._file, self._seeds = file, seeds
+        self._file, self._base, self._seeds = file, base, seeds
         self._bounds = np.cumsum([0] + [cols.size for cols in blocks]).tolist()  # where each block's columns start
         self._live = np.concatenate([np.zeros(0, np.intp), *blocks])
 
@@ -85,16 +82,15 @@ class SpilledAffinities:
         """Rows i to j - 1 of the n x l affinities (a new array)."""
         j = min(j, self.n)
         a, b = np.searchsorted(self.transient_ids, (i, j)).tolist()
-        solved, dim = np.empty((b - a, self._live.size)), self.transient_ids.size
+        solved, dim = np.zeros((b - a, self.l)), self.transient_ids.size
         for c0, c1 in zip(self._bounds, self._bounds[1:]):
             part = np.empty((b - a, c1 - c0))
-            self._file.seek(8 * (dim * c0 + a * (c1 - c0)))
+            self._file.seek(self._base + 8 * (dim * c0 + a * (c1 - c0)))
             if self._file.readinto(part) != part.nbytes:
                 raise OSError("the spill file ends before the solved block it should hold")
-            solved[:, c0:c1] = part
-        out, rows = np.zeros((j - i, self.l)), self.transient_ids[a:b] - i
-        # whole rows where every community was solved: a column index costs ten times more
-        out[(rows,) if self._live.size == self.l else np.ix_(rows, self._live)] = solved
+            solved[:, self._live[c0:c1]] = part
+        out = np.zeros((j - i, self.l))
+        out[self.transient_ids[a:b] - i] = solved
         s, e = np.searchsorted(self._seeds.ids, (i, j))
         out[self._seeds.ids[s:e] - i] = self._seeds.rows[s:e]
         return out
@@ -107,8 +103,8 @@ def detect_multi(g: Graph, seeds: SeedSet, tol: float = solver.DEFAULT_TOL, jobs
     The system is assembled and preconditioned once; the l right-hand sides
     reuse it in up to `jobs` processes. Each solved block is written straight
     into the n x l AffinityMatrix returned, so no whole solution is held twice;
-    or, given an empty binary file `spill`, appended to it, and a
-    SpilledAffinities over that file is returned, so no n x l array is held.
+    or, given a binary file `spill`, appended to it from its current position,
+    and a SpilledAffinities over that file is returned, so no n x l array is held.
     Raises ReachabilityError if some node cannot reach a seed,
     ConvergenceError if the solver runs out of budget.
     """
@@ -120,7 +116,7 @@ def detect_multi(g: Graph, seeds: SeedSet, tol: float = solver.DEFAULT_TOL, jobs
         def sink(cols, x):
             values[np.ix_(chain.transient, cols)] = x
     else:
-        blocks = []
+        base, blocks = spill.tell(), []
 
         def sink(cols, x):
             blocks.append(cols)
@@ -129,7 +125,7 @@ def detect_multi(g: Graph, seeds: SeedSet, tol: float = solver.DEFAULT_TOL, jobs
     if not all(r.converged for r in reports):
         raise ConvergenceError(reports)
     if spill is not None:
-        return SpilledAffinities(spill, blocks, seeds, g.n, chain.transient, reports)
+        return SpilledAffinities(spill, base, blocks, seeds, g.n, chain.transient, reports)
     # after the solve: pages touched before it would count in every forked worker's RSS
     values[seeds.ids] = seeds.rows
     return AffinityMatrix(values, chain.transient, reports)
@@ -160,19 +156,16 @@ def write_affinity_csv(aff: AffinityMatrix | SpilledAffinities, g: Graph, stream
 
 
 def _chunks(aff: AffinityMatrix | SpilledAffinities, g: Graph, crisp: IO[str] | None):
-    """(values, labels) of each CSV chunk, in order, sliced from tiles of whole chunks
-    and at least TILE_ROWS rows; each tile's crisp rows go to crisp, if given."""
+    """(values, labels) of each CSV chunk, in order, each read by aff.tile; each
+    chunk's crisp rows go to crisp, if given."""
     if crisp is not None:
         crisp.write("node,community\n")
     rows = max(1, CHUNK // (aff.l + 8))
-    span = rows * -(-TILE_ROWS // rows)
-    for i in range(0, aff.n, span):
-        tile, labels = aff.tile(i, i + span), g.labels[i : i + span]
+    for i in range(0, aff.n, rows):
+        tile, labels = aff.tile(i, i + rows), g.labels[i : i + rows]
         if crisp is not None:
-            cells = zip(map(_csv_field, labels), tile.argmax(1).tolist())
-            crisp.write("".join([f"{label},{c}\n" for label, c in cells]))
-        for k in range(0, len(labels), rows):
-            yield tile[k : k + rows], labels[k : k + rows]
+            crisp.write(_crisp_lines(tile, labels))
+        yield tile, labels
 
 
 def _format_rows(values: np.ndarray, labels: list[str]) -> str:
@@ -286,7 +279,14 @@ def _g9_cells(values: np.ndarray, cells: np.ndarray) -> None:
         cells[divmod(p, cells.shape[1])] = np.frombuffer((b",%.9g" % v).ljust(16, b"\xff"), "<u8")
 
 
+def _crisp_lines(tile: np.ndarray, labels: list[str]) -> str:
+    """The crisp CSV rows of the given affinity rows and their labels."""
+    cells = zip(map(_csv_field, labels), assign_crisp(AffinityMatrix(tile, None)).tolist())
+    return "".join([f"{label},{c}\n" for label, c in cells])
+
+
 def write_crisp_csv(aff: AffinityMatrix | SpilledAffinities, g: Graph, stream: IO[str]) -> None:
     """One row per node: label then its argmax community, ties to the lowest index."""
-    for _ in _chunks(aff, g, stream):
-        pass
+    stream.write("node,community\n")
+    for tile, labels in _chunks(aff, g, None):
+        stream.write(_crisp_lines(tile, labels))

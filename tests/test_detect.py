@@ -106,13 +106,13 @@ def test_detect_holds_the_answer_plus_one_block(monkeypatch):
 @pytest.mark.parametrize("l, uncovered, jobs", [(11, 4, 1), (11, 4, 2), (11, None, 2), (1, None, 1)])
 def test_spilled_answer_writes_the_bytes_of_the_matrix(monkeypatch, l, uncovered, jobs):
     # the answer read back from the spill file in row tiles prints the same bytes as the
-    # n x l matrix. Blocks of at most 4 columns (4, 3, 3 of 10 live ones), chunks of 5 rows
-    # and tiles of 15 split the 62 rows unevenly; an uncovered community is never solved
-    # or stored and must print 0, and the seed rows must land inside their tiles
+    # n x l matrix. Blocks of at most 4 columns (4, 3, 3 of 10 live ones) and chunks of 5
+    # rows split the 62 rows unevenly; an uncovered community is never solved or stored and
+    # must print 0, and the seed rows must land inside their tiles. The file holds other
+    # bytes before the answer, which the tiles must skip
     monkeypatch.setattr(solver, "BLOCK", 4)
     monkeypatch.setattr(solver, "BLOCK_BYTES", 0)
     monkeypatch.setattr(detect, "CHUNK", 5 * (l + 8))
-    monkeypatch.setattr(detect, "TILE_ROWS", 11)
     rng = np.random.default_rng(83)
     g = random_connected_graph(rng, 62)
     ids = np.sort(rng.choice(g.n, size=12, replace=False))
@@ -126,8 +126,9 @@ def test_spilled_answer_writes_the_bytes_of_the_matrix(monkeypatch, l, uncovered
     write_affinity_csv(aff, g, expected_affinity)
     write_crisp_csv(aff, g, expected_crisp)
     with tempfile.TemporaryFile() as fh:
+        fh.write(b"\xff" * 13)
         spilled = detect_multi(g, seeds, jobs=jobs, spill=fh)
-        assert fh.seek(0, 2) == (g.n - ids.size) * (l - (uncovered is not None)) * 8
+        assert fh.seek(0, 2) == 13 + (g.n - ids.size) * (l - (uncovered is not None)) * 8
         assert spilled.tile(0, g.n).tobytes() == aff.values.tobytes()
         assert [(r.iterations, r.relative_residual) for r in spilled.reports] == [
             (r.iterations, r.relative_residual) for r in aff.reports]
