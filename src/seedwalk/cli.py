@@ -128,7 +128,8 @@ def cmd_detect(args) -> int:
     with outputs as ((affinity_fh, crisp_fh), extra), tempfile.TemporaryFile(dir=paths[0].parent) as spill:
         g = load_edge_list(args.edges)
         seeds = load_seed_file(args.seeds, g)
-        aff = detect_multi(g, seeds, tol=args.tol, jobs=args.jobs, spill=spill)
+        # where the OS has no positional reads (Windows), the answer stays in memory
+        aff = detect_multi(g, seeds, tol=args.tol, jobs=args.jobs, spill=spill if hasattr(os, "pread") else None)
         write_affinity_csv(aff, g, affinity_fh, jobs=args.jobs, crisp=crisp_fh)
         extra.update(
             input={"n": g.n, "m": g.m, "duplicates_collapsed": g.duplicates_collapsed},

@@ -8,6 +8,8 @@ a shared system. Crisp assignment takes the argmax per node.
 from __future__ import annotations
 
 import functools
+import os
+import tempfile
 from typing import IO
 
 import numpy as np
@@ -16,15 +18,15 @@ from . import solver
 from .errors import ConvergenceError
 from .graph import Graph
 from .markov import build_chain
-from .pool import pool_map
+from .pool import SharedFd, pool_map
 from .seeds import SeedSet
 
 # cells per CSV chunk, as solver.BLOCK is columns per solve block: a chunk is
 # max(1, CHUNK // (l + 8)) rows, a row's label and newline counted as the eight 16-byte
-# cells they weigh about as much as. It reaches its worker with only its own rows and
-# labels, so no process holds more than about CHUNK cells as text, work arrays and text.
-# Peak RSS of `detect --jobs 2` on detect_wide (n 10^4, l 217; 2 vCPUs, medians of
-# 6): 65.9 MB at 2**14, 65.9 at 2**16, 74.4 at 2**18; 2**14 only adds tasks
+# cells they weigh about as much as. Its worker gets only its own rows and labels, or
+# reads them itself, so no process holds more than about CHUNK cells as text, work
+# arrays and text. Peak RSS of `detect --jobs 2` on detect_wide (n 10^4, l 217; 2 vCPUs,
+# medians of 6): 44.94 MB at 2**14, 44.95 at 2**16, 54.46 at 2**18; 2**14 only adds tasks
 CHUNK = 1 << 16
 
 
@@ -67,14 +69,15 @@ class SpilledAffinities:
     offset base on: each solved block's dim x width columns C-ordered, block
     after block, so the columns follow `live` (the communities whose seed
     affinities are not all zero; the others are zero). The seed rows stay in
-    memory. tile(i, j) builds rows i to j - 1 with one read per block; only
-    this process reads."""
+    memory. tile(i, j) builds rows i to j - 1 with one positional read per
+    block (os.pread), so pool workers that were handed this object read tiles
+    too, each through its own descriptor of the file, which must stay open."""
 
-    __slots__ = ("n", "l", "transient_ids", "reports", "_file", "_base", "_bounds", "_live", "_seeds")
+    __slots__ = ("n", "l", "transient_ids", "reports", "_fd", "_base", "_bounds", "_live", "_seeds")
 
     def __init__(self, file, base: int, blocks: list[np.ndarray], seeds: SeedSet, n: int, transient_ids, reports):
         self.n, self.l, self.transient_ids, self.reports = n, seeds.l, transient_ids, reports
-        self._file, self._base, self._seeds = file, base, seeds
+        self._fd, self._base, self._seeds = SharedFd(file.fileno()), base, seeds
         self._bounds = np.cumsum([0] + [cols.size for cols in blocks]).tolist()  # where each block's columns start
         self._live = np.concatenate([np.zeros(0, np.intp), *blocks])
 
@@ -84,11 +87,11 @@ class SpilledAffinities:
         a, b = np.searchsorted(self.transient_ids, (i, j)).tolist()
         solved, dim = np.zeros((b - a, self.l)), self.transient_ids.size
         for c0, c1 in zip(self._bounds, self._bounds[1:]):
-            part = np.empty((b - a, c1 - c0))
-            self._file.seek(self._base + 8 * (dim * c0 + a * (c1 - c0)))
-            if self._file.readinto(part) != part.nbytes:
+            size = 8 * (b - a) * (c1 - c0)
+            part = os.pread(self._fd, size, self._base + 8 * (dim * c0 + a * (c1 - c0)))
+            if len(part) != size:
                 raise OSError("the spill file ends before the solved block it should hold")
-            solved[:, self._live[c0:c1]] = part
+            solved[:, self._live[c0:c1]] = np.frombuffer(part).reshape(b - a, c1 - c0)
         out = np.zeros((j - i, self.l))
         out[self.transient_ids[a:b] - i] = solved
         s, e = np.searchsorted(self._seeds.ids, (i, j))
@@ -125,6 +128,7 @@ def detect_multi(g: Graph, seeds: SeedSet, tol: float = solver.DEFAULT_TOL, jobs
     if not all(r.converged for r in reports):
         raise ConvergenceError(reports)
     if spill is not None:
+        spill.flush()  # tiles are read from the file itself, here and in pool workers
         return SpilledAffinities(spill, base, blocks, seeds, g.n, chain.transient, reports)
     # after the solve: pages touched before it would count in every forked worker's RSS
     values[seeds.ids] = seeds.rows
@@ -147,32 +151,74 @@ def write_affinity_csv(aff: AffinityMatrix | SpilledAffinities, g: Graph, stream
                        crisp: IO[str] | None = None) -> None:
     """One row per node: label then printf `%.9g` of each affinity clamped to [0, 1].
     Chunks of about CHUNK cells (l per row, and 8 for its label and newline) are
-    formatted in up to `jobs` processes, each sent with only its own rows and
-    labels, read by aff.tile only shortly before its turn, and written in order
-    as they arrive, so the bytes do not depend on `jobs`. Given a stream crisp,
-    write_crisp_csv's bytes go there, taken from the same tiles."""
+    formatted in up to `jobs` processes and written in order as they arrive, so
+    the bytes do not depend on `jobs`. Each is sent with only its own rows and
+    labels, read by aff.tile shortly before its turn; a chunk of a
+    SpilledAffinities in a pool is sent as its row range alone (_slot_chunks).
+    Given a stream crisp, write_crisp_csv's bytes go there, taken from the same
+    tiles."""
     stream.write("node," + ",".join(f"c{i}" for i in range(aff.l)) + "\n")
-    stream.writelines(pool_map(_format_rows, _chunks(aff, g, crisp), jobs))
-
-
-def _chunks(aff: AffinityMatrix | SpilledAffinities, g: Graph, crisp: IO[str] | None):
-    """(values, labels) of each CSV chunk, in order, each read by aff.tile; each
-    chunk's crisp rows go to crisp, if given."""
     if crisp is not None:
         crisp.write("node,community\n")
-    rows = max(1, CHUNK // (aff.l + 8))
-    for i in range(0, aff.n, rows):
-        tile, labels = aff.tile(i, i + rows), g.labels[i : i + rows]
+    if jobs > 1 and isinstance(aff, SpilledAffinities):
+        chunks = _slot_chunks(aff, g.labels, jobs, crisp is not None)
+    else:
+        fn = functools.partial(_format_chunk, crisp=crisp is not None)
+        chunks = pool_map(fn, ((aff.tile(i, j), g.labels[i:j]) for i, j in _spans(aff)), jobs)
+    for text, lines in chunks:
+        stream.write(text)
         if crisp is not None:
-            crisp.write(_crisp_lines(tile, labels))
-        yield tile, labels
+            crisp.write(lines)
 
 
-def _format_rows(values: np.ndarray, labels: list[str]) -> str:
-    """The given rows as CSV text, each value printf `%.9g` of it clipped to
-    [0, 1]. Every row is laid out as one byte row (label, one 16-byte cell per
-    value, newline), its unused bytes 0xFF, which no UTF-8 text holds; one
-    boolean index over the chunk drops them."""
+def _spans(aff: AffinityMatrix | SpilledAffinities) -> list[tuple[int, int]]:
+    """Rows i to j - 1 of each CSV chunk, in order: max(1, CHUNK // (l + 8)) rows each."""
+    rows = max(1, CHUNK // (aff.l + 8))
+    return [(i, min(i + rows, aff.n)) for i in range(0, aff.n, rows)]
+
+
+def _format_chunk(values: np.ndarray, labels: list[str], crisp: bool) -> tuple[str, str]:
+    """The affinity CSV text of the given rows and, if crisp, their crisp CSV lines."""
+    return str(_format_rows(values, labels), "utf-8"), _crisp_lines(values, labels) if crisp else ""
+
+
+def _slot_chunks(aff: SpilledAffinities, labels: list[str], jobs: int, crisp: bool):
+    """(text, crisp lines) of each CSV chunk of aff, formatted in a pool whose workers
+    read their tiles from the spill file themselves. Chunk k's worker writes its text
+    into slot k mod (2 * jobs + 1) of an unnamed temporary file, read back here before
+    pool_map takes task k + 2 * jobs + 1, the next to write that slot."""
+    spans, ring = _spans(aff), 2 * jobs + 1
+    # a chunk's text at most: a label's UTF-8 bytes, quoted, a 16-byte cell per value, a newline
+    size = (spans[0][1] - spans[0][0]) * (4 * max(map(len, labels)) + 2 + 16 * aff.l + 1)
+    with tempfile.TemporaryFile() as slots:
+        tasks = ((i, j, k % ring * size) for k, (i, j) in enumerate(spans))
+        results = pool_map(_format_into_slot, tasks, jobs, (aff, labels, SharedFd(slots.fileno()), crisp))
+        for k, (count, lines) in enumerate(results):
+            yield str(os.pread(slots.fileno(), count, k % ring * size), "utf-8"), lines
+
+
+def _format_into_slot(aff: SpilledAffinities, labels: list[str], slots: int, crisp: bool, i: int, j: int,
+                      offset: int) -> tuple[int, str]:
+    """Write the affinity CSV text of rows i to j - 1 of aff into file slots at offset;
+    return its byte count and, if crisp, the rows' crisp CSV lines."""
+    tile, labels = aff.tile(i, j), labels[i:j]
+    text = _format_rows(tile, labels)
+    _write_slot(slots, text, offset)
+    return text.size, _crisp_lines(tile, labels) if crisp else ""
+
+
+def _write_slot(fd: int, text: np.ndarray, offset: int) -> None:
+    """Write all of text into file fd from offset on."""
+    done = 0
+    while done < text.size:
+        done += os.pwrite(fd, text[done:], offset + done)
+
+
+def _format_rows(values: np.ndarray, labels: list[str]) -> np.ndarray:
+    """The given rows as CSV text in UTF-8 (a uint8 array), each value printf
+    `%.9g` of it clipped to [0, 1]. Every row is laid out as one byte row
+    (label, one 16-byte cell per value, newline), its unused bytes 0xFF, which
+    no UTF-8 text holds; one boolean index over the chunk drops them."""
     r, l = values.shape
     enc = [_csv_field(label).encode() for label in labels]
     lens = np.fromiter(map(len, enc), np.intp, r)
@@ -182,9 +228,7 @@ def _format_rows(values: np.ndarray, labels: list[str]) -> str:
     buf[:, :width] = np.where(np.arange(width) < lens[:, None], text, 0xFF)
     buf[:, -8:] = np.frombuffer(b"\n".ljust(8, b"\xff"), np.uint8)
     _g9_cells(values, buf.view("<u8")[:, width // 8 : -1].reshape(r, l, 2))
-    out = buf[buf != 0xFF]
-    del buf
-    return str(out, "utf-8")
+    return buf[buf != 0xFF]
 
 
 def _pack(texts) -> np.ndarray:
@@ -288,5 +332,5 @@ def _crisp_lines(tile: np.ndarray, labels: list[str]) -> str:
 def write_crisp_csv(aff: AffinityMatrix | SpilledAffinities, g: Graph, stream: IO[str]) -> None:
     """One row per node: label then its argmax community, ties to the lowest index."""
     stream.write("node,community\n")
-    for tile, labels in _chunks(aff, g, None):
-        stream.write(_crisp_lines(tile, labels))
+    for i, j in _spans(aff):
+        stream.write(_crisp_lines(aff.tile(i, j), g.labels[i:j]))

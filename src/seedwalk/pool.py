@@ -6,6 +6,10 @@ before it starts a pool, so the heap of its parse and assembly neither stays
 resident beside what the pool returns nor is inherited by forked workers. Each
 worker keeps what it frees, so its next task reuses that memory instead of
 faulting it in again. A map that runs here changes neither.
+
+An open file reaches the workers as a SharedFd among the shared arguments:
+forked workers inherit its descriptor, and the others (spawn, forkserver) are
+handed a duplicate of it as they start.
 """
 
 import ctypes
@@ -22,17 +26,19 @@ def pool_map(fn, tasks: Iterable[tuple], jobs: int, shared: tuple = ()):
 
     Runs here, taking one task at a time, when jobs <= 1 or there is at most
     one task. Otherwise every worker gets `shared` once, through the pool
-    initializer (so any start method works), and takes one task at a time,
-    since task costs are uneven; at most 2 * jobs tasks are taken from
-    `tasks` and not yet yielded, so a lazy iterable is never built whole.
+    initializer (so any start method works, with files as SharedFd), and takes
+    one task at a time, since task costs are uneven. At most 2 * jobs tasks are
+    taken from `tasks` and not yet yielded, so a lazy iterable is never built
+    whole, and while the caller holds the result of task k, no task after
+    k + 2 * jobs has been taken.
     """
     tasks = iter(tasks)
     ahead = list(islice(tasks, 2 * jobs)) if jobs > 1 else []
     if len(ahead) <= 1:
         yield from (fn(*shared, *task) for task in chain(ahead, tasks))
         return
+    _hand_back_freed_memory()  # first: what the import allocates would sit on top of the freed heap
     from concurrent.futures import ProcessPoolExecutor
-    _hand_back_freed_memory()
     pool = ProcessPoolExecutor(min(jobs, len(ahead)), initializer=_bind, initargs=(fn, shared))
     try:
         pending = deque(pool.submit(_call, task) for task in ahead)
@@ -43,6 +49,22 @@ def pool_map(fn, tasks: Iterable[tuple], jobs: int, shared: tuple = ()):
             yield done.result()
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+class SharedFd(int):
+    """A file descriptor for pool workers, read and written with positional I/O
+    (os.pread, os.pwrite), which leaves alone the offset that forked processes
+    share. Forked workers inherit it as it is; pickled for a worker that starts a
+    fresh interpreter (spawn, forkserver), it is handed over as a duplicate."""
+
+    def __reduce__(self):
+        from multiprocessing.reduction import DupFd
+
+        return _adopt, (DupFd(int(self)),)
+
+
+def _adopt(dup) -> SharedFd:
+    return SharedFd(dup.detach())
 
 
 def _bind(fn, shared: tuple) -> None:

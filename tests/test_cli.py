@@ -1,12 +1,16 @@
 import contextlib
 import csv
+import errno
 import gc
 import io
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import asdict, replace
@@ -409,6 +413,40 @@ def test_detect_manifest_counts_the_spilled_bytes(tmp_path):
         path.write_text("".join(f"{v} {c} {0 if c in zero else a}\n" for v, c, a in map(str.split, lines)))
         assert main(["detect", str(edges), str(path), "--jobs", "2", "--out", str(tmp_path / name)]) == 0
         assert json.loads((tmp_path / f"{name}.manifest.json").read_text())["spill_bytes"] == spilled
+
+
+def test_detect_whose_csv_workers_find_the_disk_full_exits_1_and_leaves_nothing(tmp_path, monkeypatch, capsys):
+    # the CSV workers write each chunk into a slot file: when that write fails in a worker,
+    # the parent stops the pool at once, prints one error line and removes its outputs.
+    # Forked workers see the patched helper
+    edges, seeds = _ring_files(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+
+    def disk_full(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(detect, "_write_slot", disk_full)
+    monkeypatch.setattr(detect, "CHUNK", 10 * (RING_COMMUNITIES + 8))  # six chunks of 10 rows
+
+    def hung(*args):
+        raise AssertionError("detect still runs after 60 s")
+
+    method, alarm = multiprocessing.get_start_method(allow_none=True), signal.signal(signal.SIGALRM, hung)
+    multiprocessing.set_start_method("fork", force=True)
+    signal.alarm(60)
+    try:
+        start = time.perf_counter()
+        code = main(["detect", str(edges), str(seeds), "--jobs", "2", "--out", str(out / "run")])
+        seconds = time.perf_counter() - start
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, alarm)
+        multiprocessing.set_start_method(method, force=True)
+    err = capsys.readouterr().err
+    assert code == 1 and seconds < 20
+    assert err.splitlines() == [f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+    assert list(out.iterdir()) == []
 
 
 def test_detect_keeps_the_n_by_l_answer_off_the_heap(tmp_path, monkeypatch):

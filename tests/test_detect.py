@@ -1,4 +1,5 @@
 import io
+import os
 import pickle
 import tempfile
 import tracemalloc
@@ -139,6 +140,51 @@ def test_spilled_answer_writes_the_bytes_of_the_matrix(monkeypatch, l, uncovered
     assert crisp.getvalue() == crisp_alone.getvalue() == expected_crisp.getvalue()
     if uncovered is not None:
         assert {line.split(",")[1 + uncovered] for line in affinity.getvalue().splitlines()[1:]} == {"0"}
+
+
+def test_spilled_chunks_reach_the_pool_as_row_ranges(monkeypatch, tmp_path):
+    # at jobs 2 the workers read their tiles from the spill file and write their text into
+    # 2 * jobs + 1 slots of an unnamed file: no tile and no chunk text passes through the
+    # pool, only row ranges, byte counts and crisp lines. Chunks of 3 rows split 62 rows
+    # into 21 chunks, so every slot is used four or five times; the file never holds more
+    # than its slots, and both files written hold the bytes of the in-memory write
+    l, jobs = 11, 2
+    monkeypatch.setattr(solver, "BLOCK", 4)
+    monkeypatch.setattr(solver, "BLOCK_BYTES", 0)
+    monkeypatch.setattr(detect, "CHUNK", 3 * (l + 8))
+    rng = np.random.default_rng(89)
+    g = random_connected_graph(rng, 62)
+    g.labels[7] = 'x,"é"'
+    ids = np.sort(rng.choice(g.n, size=12, replace=False))
+    seeds = SeedSet(ids, rng.uniform(0.0, 1.0, (ids.size, l)))
+    expected_affinity, expected_crisp = io.StringIO(), io.StringIO()
+    write_affinity_csv(detect_multi(g, seeds), g, expected_affinity, crisp=expected_crisp)
+    calls, results, slot_bytes, pool_map = [], [], [], detect.pool_map
+
+    def spy(fn, tasks, jobs, shared=()):
+        tasks = list(tasks)
+        calls.append((tasks, shared))
+        for result in pool_map(fn, tasks, jobs, shared):
+            results.append(result)
+            yield result
+        slot_bytes.append(os.fstat(shared[2]).st_size)  # the slot file is still open here
+
+    monkeypatch.setattr(detect, "pool_map", spy)
+    with tempfile.TemporaryFile() as spill:
+        spilled = detect_multi(g, seeds, spill=spill)
+        with open(tmp_path / "a.csv", "w", encoding="utf-8") as affinity:
+            with open(tmp_path / "c.csv", "w", encoding="utf-8") as crisp:
+                write_affinity_csv(spilled, g, affinity, jobs=jobs, crisp=crisp)
+    assert (tmp_path / "a.csv").read_bytes() == expected_affinity.getvalue().encode()
+    assert (tmp_path / "c.csv").read_bytes() == expected_crisp.getvalue().encode()
+    [(tasks, shared)] = calls
+    assert len(tasks) == 21 and all(len(task) == 3 and all(type(x) is int for x in task) for task in tasks)
+    assert not any(isinstance(x, (np.ndarray, str, bytes)) for x in shared)
+    assert all(type(count) is int and type(lines) is str for count, lines in results)
+    assert "".join(lines for _, lines in results) == expected_crisp.getvalue().split("\n", 1)[1]
+    assert sum(count for count, _ in results) == len(expected_affinity.getvalue().split("\n", 1)[1].encode())
+    slot = 3 * (4 * max(map(len, g.labels)) + 2 + 16 * l + 1)  # a 3-row chunk's text at most
+    assert 0 < slot_bytes[0] <= (2 * jobs + 1) * slot
 
 
 def test_crisp_argmax_and_ties(fig_graph, fig_seeds):
