@@ -124,7 +124,7 @@ def cmd_detect(args) -> int:
     paths = [Path(f"{args.out}.affinity.csv"), Path(f"{args.out}.crisp.csv")]
     manifest = Path(f"{args.out}.manifest.json")
     outputs = _outputs(args, paths, manifest, (args.edges, args.seeds))
-    # the solved blocks wait beside the outputs in a file with no name, which no run can leave behind
+    # the answer and its CSV slots wait beside the outputs in a file with no name, which no run can leave behind
     with outputs as ((affinity_fh, crisp_fh), extra), tempfile.TemporaryFile(dir=paths[0].parent) as spill:
         g = load_edge_list(args.edges)
         seeds = load_seed_file(args.seeds, g)
@@ -135,7 +135,7 @@ def cmd_detect(args) -> int:
             input={"n": g.n, "m": g.m, "duplicates_collapsed": g.duplicates_collapsed},
             solver_iterations=[r.iterations for r in aff.reports],
             solver_residuals=[r.relative_residual for r in aff.reports],
-            spill_bytes=spill.seek(0, os.SEEK_END),
+            spill_bytes=spill.tell(),  # the answer's end: the pooled CSV slots past it are written by offset
         )
     if args.verbose:
         print(f"{g.n} nodes, {g.m} edges, {len(seeds)} seeds, {seeds.l} communities")

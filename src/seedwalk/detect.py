@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import os
-import tempfile
 from typing import IO
 
 import numpy as np
@@ -18,7 +17,7 @@ from . import solver
 from .errors import ConvergenceError
 from .graph import Graph
 from .markov import build_chain
-from .pool import SharedFd, pool_map
+from .pool import AHEAD, SharedFd, pool_map
 from .seeds import SeedSet
 
 # cells per CSV chunk, as solver.BLOCK is columns per solve block: a chunk is
@@ -65,21 +64,22 @@ class AffinityMatrix:
 
 
 class SpilledAffinities:
-    """The affinities of detect_multi(..., spill=file), held in the file from
-    offset base on: each solved block's dim x width columns C-ordered, block
-    after block, so the columns follow `live` (the communities whose seed
-    affinities are not all zero; the others are zero). The seed rows stay in
-    memory. tile(i, j) builds rows i to j - 1 with one positional read per
-    block (os.pread), so pool workers that were handed this object read tiles
-    too, each through its own descriptor of the file, which must stay open."""
+    """The affinities of detect_multi(..., spill=file), held in the file from offset
+    base to offset end: each solved block's dim x width columns C-ordered, block after
+    block, so the columns follow `live` (the communities whose seed affinities are not
+    all zero; the others are zero). The seed rows stay in memory. tile(i, j) builds rows
+    i to j - 1 with one positional read per block (os.pread), so pool workers handed this
+    object read tiles too, each through its own descriptor of the file, which must stay
+    open; write_affinity_csv's pooled workers write their CSV text past end."""
 
-    __slots__ = ("n", "l", "transient_ids", "reports", "_fd", "_base", "_bounds", "_live", "_seeds")
+    __slots__ = ("n", "l", "transient_ids", "reports", "end", "_fd", "_base", "_bounds", "_live", "_seeds")
 
     def __init__(self, file, base: int, blocks: list[np.ndarray], seeds: SeedSet, n: int, transient_ids, reports):
         self.n, self.l, self.transient_ids, self.reports = n, seeds.l, transient_ids, reports
         self._fd, self._base, self._seeds = SharedFd(file.fileno()), base, seeds
         self._bounds = np.cumsum([0] + [cols.size for cols in blocks]).tolist()  # where each block's columns start
         self._live = np.concatenate([np.zeros(0, np.intp), *blocks])
+        self.end = base + 8 * transient_ids.size * self._bounds[-1]
 
     def tile(self, i: int, j: int) -> np.ndarray:
         """Rows i to j - 1 of the n x l affinities (a new array)."""
@@ -185,25 +185,23 @@ def _format_chunk(values: np.ndarray, labels: list[str], crisp: bool) -> tuple[s
 def _slot_chunks(aff: SpilledAffinities, labels: list[str], jobs: int, crisp: bool):
     """(text, crisp lines) of each CSV chunk of aff, formatted in a pool whose workers
     read their tiles from the spill file themselves. Chunk k's worker writes its text
-    into slot k mod (2 * jobs + 1) of an unnamed temporary file, read back here before
-    pool_map takes task k + 2 * jobs + 1, the next to write that slot."""
-    spans, ring = _spans(aff), 2 * jobs + 1
+    into slot k mod (AHEAD * jobs + 1) of the same file past aff.end, read back here
+    before pool_map takes task k + AHEAD * jobs + 1, the next to write that slot."""
+    spans, ring = _spans(aff), AHEAD * jobs + 1
     # a chunk's text at most: a label's UTF-8 bytes, quoted, a 16-byte cell per value, a newline
     size = (spans[0][1] - spans[0][0]) * (4 * max(map(len, labels)) + 2 + 16 * aff.l + 1)
-    with tempfile.TemporaryFile() as slots:
-        tasks = ((i, j, k % ring * size) for k, (i, j) in enumerate(spans))
-        results = pool_map(_format_into_slot, tasks, jobs, (aff, labels, SharedFd(slots.fileno()), crisp))
-        for k, (count, lines) in enumerate(results):
-            yield str(os.pread(slots.fileno(), count, k % ring * size), "utf-8"), lines
+    tasks = ((i, j, aff.end + k % ring * size) for k, (i, j) in enumerate(spans))
+    for k, (count, lines) in enumerate(pool_map(_format_into_slot, tasks, jobs, (aff, labels, crisp))):
+        yield str(os.pread(aff._fd, count, aff.end + k % ring * size), "utf-8"), lines
 
 
-def _format_into_slot(aff: SpilledAffinities, labels: list[str], slots: int, crisp: bool, i: int, j: int,
+def _format_into_slot(aff: SpilledAffinities, labels: list[str], crisp: bool, i: int, j: int,
                       offset: int) -> tuple[int, str]:
-    """Write the affinity CSV text of rows i to j - 1 of aff into file slots at offset;
+    """Write the affinity CSV text of rows i to j - 1 of aff into aff's file at offset;
     return its byte count and, if crisp, the rows' crisp CSV lines."""
     tile, labels = aff.tile(i, j), labels[i:j]
     text = _format_rows(tile, labels)
-    _write_slot(slots, text, offset)
+    _write_slot(aff._fd, text, offset)
     return text.size, _crisp_lines(tile, labels) if crisp else ""
 
 
@@ -325,7 +323,7 @@ def _g9_cells(values: np.ndarray, cells: np.ndarray) -> None:
 
 def _crisp_lines(tile: np.ndarray, labels: list[str]) -> str:
     """The crisp CSV rows of the given affinity rows and their labels."""
-    cells = zip(map(_csv_field, labels), assign_crisp(AffinityMatrix(tile, None)).tolist())
+    cells = zip(map(_csv_field, labels), np.argmax(tile, axis=1).tolist())
     return "".join([f"{label},{c}\n" for label, c in cells])
 
 

@@ -9,7 +9,8 @@ faulting it in again. A map that runs here changes neither.
 
 An open file reaches the workers as a SharedFd among the shared arguments:
 forked workers inherit its descriptor, and the others (spawn, forkserver) are
-handed a duplicate of it as they start.
+handed a duplicate of it as they start. A pooled map takes AHEAD tasks per
+worker ahead of the one it yields, which bounds any ring of buffers a caller keeps.
 """
 
 import ctypes
@@ -18,6 +19,7 @@ from collections.abc import Iterable
 from functools import partial
 from itertools import chain, islice
 
+AHEAD = 2  # tasks per worker taken ahead: one running, one queued for when it ends
 _bound = None  # in a pool worker: the mapped function with its shared arguments bound
 
 
@@ -27,13 +29,13 @@ def pool_map(fn, tasks: Iterable[tuple], jobs: int, shared: tuple = ()):
     Runs here, taking one task at a time, when jobs <= 1 or there is at most
     one task. Otherwise every worker gets `shared` once, through the pool
     initializer (so any start method works, with files as SharedFd), and takes
-    one task at a time, since task costs are uneven. At most 2 * jobs tasks are
-    taken from `tasks` and not yet yielded, so a lazy iterable is never built
+    one task at a time, since task costs are uneven. At most AHEAD * jobs tasks
+    are taken from `tasks` and not yet yielded, so a lazy iterable is never built
     whole, and while the caller holds the result of task k, no task after
-    k + 2 * jobs has been taken.
+    k + AHEAD * jobs has been taken.
     """
     tasks = iter(tasks)
-    ahead = list(islice(tasks, 2 * jobs)) if jobs > 1 else []
+    ahead = list(islice(tasks, AHEAD * jobs)) if jobs > 1 else []
     if len(ahead) <= 1:
         yield from (fn(*shared, *task) for task in chain(ahead, tasks))
         return

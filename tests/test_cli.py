@@ -416,9 +416,9 @@ def test_detect_manifest_counts_the_spilled_bytes(tmp_path):
 
 
 def test_detect_whose_csv_workers_find_the_disk_full_exits_1_and_leaves_nothing(tmp_path, monkeypatch, capsys):
-    # the CSV workers write each chunk into a slot file: when that write fails in a worker,
-    # the parent stops the pool at once, prints one error line and removes its outputs.
-    # Forked workers see the patched helper
+    # the CSV workers write each chunk into a slot past the answer in the spill file: when
+    # that write fails in a worker, the parent stops the pool at once, prints one error line
+    # and removes its outputs. Forked workers see the patched helper
     edges, seeds = _ring_files(tmp_path)
     out = tmp_path / "out"
     out.mkdir()
@@ -447,6 +447,40 @@ def test_detect_whose_csv_workers_find_the_disk_full_exits_1_and_leaves_nothing(
     assert code == 1 and seconds < 20
     assert err.splitlines() == [f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
     assert list(out.iterdir()) == []
+
+
+def test_detect_needs_no_system_temporary_directory(tmp_path, monkeypatch):
+    # the answer and the pooled CSV slots share one unnamed file beside the outputs, so a run
+    # whose system temporary directory is missing still writes the bytes of --jobs 1. Under
+    # fork, which makes no temporary file itself; chunks of 10 rows make six pooled chunks
+    edges, seeds = _ring_files(tmp_path)
+    monkeypatch.setattr(detect, "CHUNK", 10 * (RING_COMMUNITIES + 8))
+    assert main(["detect", str(edges), str(seeds), "--jobs", "1", "--out", str(tmp_path / "j1")]) == 0
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    method = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("fork", force=True)
+    try:
+        code = main(["detect", str(edges), str(seeds), "--jobs", "2", "--out", str(tmp_path / "j2")])
+    finally:
+        multiprocessing.set_start_method(method, force=True)
+    assert code == 0
+    for suffix in ("affinity.csv", "crisp.csv"):
+        assert (tmp_path / f"j2.{suffix}").read_bytes() == (tmp_path / f"j1.{suffix}").read_bytes()
+
+
+def test_detect_without_positional_reads_keeps_the_answer_in_memory(tmp_path, monkeypatch):
+    # where the OS has no os.pread (Windows), detect holds the n x l answer in memory and
+    # spills nothing, and at --jobs 1 and 2 (six pooled chunks) writes the spilled run's bytes
+    edges, seeds = _ring_files(tmp_path)
+    monkeypatch.setattr(detect, "CHUNK", 10 * (RING_COMMUNITIES + 8))
+    assert main(["detect", str(edges), str(seeds), "--jobs", "2", "--out", str(tmp_path / "spilled")]) == 0
+    assert json.loads((tmp_path / "spilled.manifest.json").read_text())["spill_bytes"] == 57 * RING_COMMUNITIES * 8
+    monkeypatch.delattr(os, "pread")
+    for jobs in ("1", "2"):
+        assert main(["detect", str(edges), str(seeds), "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+        assert json.loads((tmp_path / f"{jobs}.manifest.json").read_text())["spill_bytes"] == 0
+        for suffix in ("affinity.csv", "crisp.csv"):
+            assert (tmp_path / f"{jobs}.{suffix}").read_bytes() == (tmp_path / f"spilled.{suffix}").read_bytes()
 
 
 def test_detect_keeps_the_n_by_l_answer_off_the_heap(tmp_path, monkeypatch):

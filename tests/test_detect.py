@@ -22,7 +22,7 @@ from seedwalk import (
     load_seed_file,
     run_walks,
 )
-from seedwalk import detect, solver
+from seedwalk import detect, pool, solver
 from seedwalk.detect import AffinityMatrix, write_affinity_csv, write_crisp_csv
 from seedwalk.solver import BLOCK, SolveReport
 
@@ -144,10 +144,11 @@ def test_spilled_answer_writes_the_bytes_of_the_matrix(monkeypatch, l, uncovered
 
 def test_spilled_chunks_reach_the_pool_as_row_ranges(monkeypatch, tmp_path):
     # at jobs 2 the workers read their tiles from the spill file and write their text into
-    # 2 * jobs + 1 slots of an unnamed file: no tile and no chunk text passes through the
-    # pool, only row ranges, byte counts and crisp lines. Chunks of 3 rows split 62 rows
-    # into 21 chunks, so every slot is used four or five times; the file never holds more
-    # than its slots, and both files written hold the bytes of the in-memory write
+    # AHEAD * jobs + 1 slots past the answer in that same file: no tile and no chunk text
+    # passes through the pool, only row ranges, byte counts and crisp lines, and no
+    # descriptor but the spill file's inside aff. Chunks of 3 rows split 62 rows into 21
+    # chunks, so every slot is used four or five times; the file never holds more than the
+    # answer, intact, and its slots, and both files written hold the bytes of the in-memory write
     l, jobs = 11, 2
     monkeypatch.setattr(solver, "BLOCK", 4)
     monkeypatch.setattr(solver, "BLOCK_BYTES", 0)
@@ -157,9 +158,10 @@ def test_spilled_chunks_reach_the_pool_as_row_ranges(monkeypatch, tmp_path):
     g.labels[7] = 'x,"é"'
     ids = np.sort(rng.choice(g.n, size=12, replace=False))
     seeds = SeedSet(ids, rng.uniform(0.0, 1.0, (ids.size, l)))
+    aff = detect_multi(g, seeds)
     expected_affinity, expected_crisp = io.StringIO(), io.StringIO()
-    write_affinity_csv(detect_multi(g, seeds), g, expected_affinity, crisp=expected_crisp)
-    calls, results, slot_bytes, pool_map = [], [], [], detect.pool_map
+    write_affinity_csv(aff, g, expected_affinity, crisp=expected_crisp)
+    calls, results, pool_map = [], [], detect.pool_map
 
     def spy(fn, tasks, jobs, shared=()):
         tasks = list(tasks)
@@ -167,24 +169,28 @@ def test_spilled_chunks_reach_the_pool_as_row_ranges(monkeypatch, tmp_path):
         for result in pool_map(fn, tasks, jobs, shared):
             results.append(result)
             yield result
-        slot_bytes.append(os.fstat(shared[2]).st_size)  # the slot file is still open here
 
     monkeypatch.setattr(detect, "pool_map", spy)
+    answer = (g.n - ids.size) * l * 8
     with tempfile.TemporaryFile() as spill:
         spilled = detect_multi(g, seeds, spill=spill)
+        assert spilled.end == answer
         with open(tmp_path / "a.csv", "w", encoding="utf-8") as affinity:
             with open(tmp_path / "c.csv", "w", encoding="utf-8") as crisp:
                 write_affinity_csv(spilled, g, affinity, jobs=jobs, crisp=crisp)
+        spill_bytes = os.fstat(spill.fileno()).st_size
+        assert spilled.tile(0, g.n).tobytes() == aff.values.tobytes()
     assert (tmp_path / "a.csv").read_bytes() == expected_affinity.getvalue().encode()
     assert (tmp_path / "c.csv").read_bytes() == expected_crisp.getvalue().encode()
     [(tasks, shared)] = calls
     assert len(tasks) == 21 and all(len(task) == 3 and all(type(x) is int for x in task) for task in tasks)
     assert not any(isinstance(x, (np.ndarray, str, bytes)) for x in shared)
+    assert shared[0] is spilled and [type(x) for x in shared[1:]] == [list, bool]  # no descriptor but aff's
     assert all(type(count) is int and type(lines) is str for count, lines in results)
     assert "".join(lines for _, lines in results) == expected_crisp.getvalue().split("\n", 1)[1]
     assert sum(count for count, _ in results) == len(expected_affinity.getvalue().split("\n", 1)[1].encode())
     slot = 3 * (4 * max(map(len, g.labels)) + 2 + 16 * l + 1)  # a 3-row chunk's text at most
-    assert 0 < slot_bytes[0] <= (2 * jobs + 1) * slot
+    assert 0 < spill_bytes - answer <= (pool.AHEAD * jobs + 1) * slot
 
 
 def test_crisp_argmax_and_ties(fig_graph, fig_seeds):

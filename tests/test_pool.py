@@ -27,8 +27,8 @@ def test_pool_map_takes_tasks_as_it_goes_and_yields_them_in_order():
         taken.clear()
         for i, y in enumerate(pool_map(_square, tasks(), jobs)):
             assert y == i * i
-            # the yielded task, and at most 2 * jobs taken ahead of it
-            assert len(taken) <= i + 1 + 2 * jobs
+            # the yielded task, and at most AHEAD * jobs taken ahead of it
+            assert len(taken) <= i + 1 + pool.AHEAD * jobs
         assert taken == list(range(24))
 
 
@@ -57,12 +57,12 @@ def test_pool_workers_reuse_the_memory_they_free():
     assert max(faults) < 100
 
 
-# In a fresh interpreter, so the heap holds only what this script puts there: the
-# freed 4 MiB array raises glibc's mmap threshold, so the 40 MiB that follow come
-# from the heap, and the live 256 KiB block above them keeps glibc from trimming
-# them at free(). VmRSS, in MiB, around each kind of map.
+# In a fresh interpreter, with glibc's thresholds fixed so that the heap layout the
+# import leaves does not matter: the 40 MiB of arrays come from the heap (mmap
+# threshold 32 MiB), and glibc trims none of it at free() (trim threshold 1 GiB).
+# VmRSS, in MiB, around each kind of map.
 _FREED_HEAP_PROBE = """
-import json, sys
+import ctypes, json, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from seedwalk.pool import pool_map
@@ -71,10 +71,11 @@ def rss():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:")) / 1024
 
-big = np.ones(1 << 19)
-del big
+mallopt = ctypes.CDLL(None).mallopt
+mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
 arrays = [np.ones(1 << 17) for _ in range(40)]
-live = np.ones(1 << 15)
 del arrays
 seen = [rss()]
 for tasks, jobs in (([(-1,), (-2,)], 1), ([(-1,)], 2), ([(-1,), (-2,)], 2)):
