@@ -128,7 +128,7 @@ def cmd_detect(args) -> int:
     with outputs as ((affinity_fh, crisp_fh), extra), tempfile.TemporaryFile(dir=paths[0].parent) as spill:
         g = load_edge_list(args.edges)
         seeds = load_seed_file(args.seeds, g)
-        # where the OS has no positional reads (Windows), the answer stays in memory
+        # where the OS has no positional reads (Windows), the answer stays in memory and its CSVs are written here
         aff = detect_multi(g, seeds, tol=args.tol, jobs=args.jobs, spill=spill if hasattr(os, "pread") else None)
         write_affinity_csv(aff, g, affinity_fh, jobs=args.jobs, crisp=crisp_fh)
         extra.update(
@@ -189,9 +189,7 @@ def cmd_verify(args) -> int:
         raise UsageError(f"node {args.node!r} is a seed; pick a non-seed node")
     chain = build_chain(g, seeds.ids)
     t = int(np.searchsorted(chain.transient, node))
-    solved, report = solver.solve_row(solver.assemble(chain, seeds), t, tol=args.tol)
-    if not report.converged:
-        raise ConvergenceError([report])
+    solved, _ = solver.solve_row(solver.assemble(chain, seeds), t, tol=args.tol)
     try:
         stats = walker.run_walks(chain, node, args.walks, args.rng_seed, step_cap=args.step_cap)
     except SeedwalkError:

@@ -14,7 +14,6 @@ from typing import IO
 import numpy as np
 
 from . import solver
-from .errors import ConvergenceError
 from .graph import Graph
 from .markov import build_chain
 from .pool import AHEAD, SharedFd, pool_map
@@ -22,10 +21,10 @@ from .seeds import SeedSet
 
 # cells per CSV chunk, as solver.BLOCK is columns per solve block: a chunk is
 # max(1, CHUNK // (l + 8)) rows, a row's label and newline counted as the eight 16-byte
-# cells they weigh about as much as. Its worker gets only its own rows and labels, or
-# reads them itself, so no process holds more than about CHUNK cells as text, work
-# arrays and text. Peak RSS of `detect --jobs 2` on detect_wide (n 10^4, l 217; 2 vCPUs,
-# medians of 6): 44.94 MB at 2**14, 44.95 at 2**16, 54.46 at 2**18; 2**14 only adds tasks
+# cells they weigh about as much as. Its rows are read (aff.tile) only where it is
+# formatted, so no process holds more than about CHUNK cells as text, work arrays and
+# text. Peak RSS of `detect --jobs 2` on detect_wide (n 10^4, l 217; 2 vCPUs, medians
+# of 6): 44.94 MB at 2**14, 44.95 at 2**16, 54.46 at 2**18; 2**14 only adds tasks
 CHUNK = 1 << 16
 
 
@@ -108,8 +107,8 @@ def detect_multi(g: Graph, seeds: SeedSet, tol: float = solver.DEFAULT_TOL, jobs
     into the n x l AffinityMatrix returned, so no whole solution is held twice;
     or, given a binary file `spill`, appended to it from its current position,
     and a SpilledAffinities over that file is returned, so no n x l array is held.
-    Raises ReachabilityError if some node cannot reach a seed,
-    ConvergenceError if the solver runs out of budget.
+    Raises ReachabilityError if some node cannot reach a seed, and the solver's
+    ConvergenceError if some community's solve runs out of budget.
     """
     chain = build_chain(g, seeds.ids)
     system = solver.assemble(chain, seeds)
@@ -125,8 +124,6 @@ def detect_multi(g: Graph, seeds: SeedSet, tol: float = solver.DEFAULT_TOL, jobs
             blocks.append(cols)
             spill.write(x)
     _, reports = solver.solve_iterative_all(system, tol=tol, jobs=jobs, sink=sink)
-    if not all(r.converged for r in reports):
-        raise ConvergenceError(reports)
     if spill is not None:
         spill.flush()  # tiles are read from the file itself, here and in pool workers
         return SpilledAffinities(spill, base, blocks, seeds, g.n, chain.transient, reports)
@@ -150,23 +147,21 @@ def _csv_field(label: str) -> str:
 def write_affinity_csv(aff: AffinityMatrix | SpilledAffinities, g: Graph, stream: IO[str], jobs: int = 1,
                        crisp: IO[str] | None = None) -> None:
     """One row per node: label then printf `%.9g` of each affinity clamped to [0, 1].
-    Chunks of about CHUNK cells (l per row, and 8 for its label and newline) are
-    formatted in up to `jobs` processes and written in order as they arrive, so
-    the bytes do not depend on `jobs`. Each is sent with only its own rows and
-    labels, read by aff.tile shortly before its turn; a chunk of a
-    SpilledAffinities in a pool is sent as its row range alone (_slot_chunks).
-    Given a stream crisp, write_crisp_csv's bytes go there, taken from the same
-    tiles."""
+    Chunks of about CHUNK cells (l per row, and 8 for its label and newline) are each
+    read by aff.tile shortly before their turn, formatted and written in order, so the
+    bytes do not depend on `jobs`. Only a SpilledAffinities is formatted in a pool, of
+    up to `jobs` processes whose workers read their own tiles from the spill file
+    (_slot_chunks); an AffinityMatrix is written in this process whatever `jobs` is.
+    Given a stream crisp, write_crisp_csv's bytes go there, taken from the same tiles."""
     stream.write("node," + ",".join(f"c{i}" for i in range(aff.l)) + "\n")
     if crisp is not None:
         crisp.write("node,community\n")
     if jobs > 1 and isinstance(aff, SpilledAffinities):
         chunks = _slot_chunks(aff, g.labels, jobs, crisp is not None)
     else:
-        fn = functools.partial(_format_chunk, crisp=crisp is not None)
-        chunks = pool_map(fn, ((aff.tile(i, j), g.labels[i:j]) for i, j in _spans(aff)), jobs)
+        chunks = (_format_span(aff, g.labels, crisp is not None, i, j) for i, j in _spans(aff))
     for text, lines in chunks:
-        stream.write(text)
+        stream.write(str(text, "utf-8"))
         if crisp is not None:
             crisp.write(lines)
 
@@ -177,9 +172,10 @@ def _spans(aff: AffinityMatrix | SpilledAffinities) -> list[tuple[int, int]]:
     return [(i, min(i + rows, aff.n)) for i in range(0, aff.n, rows)]
 
 
-def _format_chunk(values: np.ndarray, labels: list[str], crisp: bool) -> tuple[str, str]:
-    """The affinity CSV text of the given rows and, if crisp, their crisp CSV lines."""
-    return str(_format_rows(values, labels), "utf-8"), _crisp_lines(values, labels) if crisp else ""
+def _format_span(aff, labels: list[str], crisp: bool, i: int, j: int) -> tuple[np.ndarray, str]:
+    """The affinity CSV text of rows i to j - 1 of aff in UTF-8 and, if crisp, their crisp CSV lines."""
+    tile, labels = aff.tile(i, j), labels[i:j]
+    return _format_rows(tile, labels), _crisp_lines(tile, labels) if crisp else ""
 
 
 def _slot_chunks(aff: SpilledAffinities, labels: list[str], jobs: int, crisp: bool):
@@ -192,17 +188,16 @@ def _slot_chunks(aff: SpilledAffinities, labels: list[str], jobs: int, crisp: bo
     size = (spans[0][1] - spans[0][0]) * (4 * max(map(len, labels)) + 2 + 16 * aff.l + 1)
     tasks = ((i, j, aff.end + k % ring * size) for k, (i, j) in enumerate(spans))
     for k, (count, lines) in enumerate(pool_map(_format_into_slot, tasks, jobs, (aff, labels, crisp))):
-        yield str(os.pread(aff._fd, count, aff.end + k % ring * size), "utf-8"), lines
+        yield os.pread(aff._fd, count, aff.end + k % ring * size), lines
 
 
 def _format_into_slot(aff: SpilledAffinities, labels: list[str], crisp: bool, i: int, j: int,
                       offset: int) -> tuple[int, str]:
     """Write the affinity CSV text of rows i to j - 1 of aff into aff's file at offset;
     return its byte count and, if crisp, the rows' crisp CSV lines."""
-    tile, labels = aff.tile(i, j), labels[i:j]
-    text = _format_rows(tile, labels)
+    text, lines = _format_span(aff, labels, crisp, i, j)
     _write_slot(aff._fd, text, offset)
-    return text.size, _crisp_lines(tile, labels) if crisp else ""
+    return text.size, lines
 
 
 def _write_slot(fd: int, text: np.ndarray, offset: int) -> None:

@@ -90,10 +90,9 @@ def load_seed_file(source: str | Path | IO[str] | Iterable[str], g: Graph) -> Se
 def write_seed_file(seeds: SeedSet, g: Graph, stream: IO[str]) -> None:
     """Inverse of load_seed_file; zero affinities are omitted where possible."""
     for node, row in zip(seeds.ids.tolist(), seeds.rows):
-        if not row.any():
+        comms = np.flatnonzero(row)
+        if not comms.size:
             # keep the node on record even with an all-zero row
             stream.write(f"{g.labels[node]} 0 0\n")
-            continue
-        for comm, aff in enumerate(row):
-            if aff != 0.0:
-                stream.write(f"{g.labels[node]} {comm} {aff:.9g}\n")
+        for comm, aff in zip(comms.tolist(), row[comms].tolist()):
+            stream.write(f"{g.labels[node]} {comm} {aff:.9g}\n")

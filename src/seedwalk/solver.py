@@ -44,6 +44,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .graph import csr_ranges
 from .markov import AbsorbingChain
 from .pool import pool_map
@@ -196,8 +197,9 @@ def solve_iterative_all(
     one block. The grouping changes no bit of any column.
 
     A column converges when its true relative residual ||(D-A)x - b|| / ||b||
-    is at most tol; after 10 * dim + 100 iterations its last iterate is
-    returned, converged=False. A zero right-hand side gives the zero vector.
+    is at most tol. If any column has not after 10 * dim + 100 iterations,
+    ConvergenceError(reports) is raised once every block is solved, with the
+    report of every column in order. A zero right-hand side gives the zero vector.
     Each block is handed, in task order, to sink(cols, X): X is the C-ordered
     dim x len(cols) solution of the ascending columns cols, and the blocks
     cover, in order, exactly the columns with a nonzero right-hand side; the
@@ -227,6 +229,8 @@ def solve_iterative_all(
         used[cols], rel[cols] = n, r
         del x  # free it before this process solves the next block
     reports = [SolveReport(n, r, r <= tol) for n, r in zip(used.tolist(), rel.tolist())]
+    if not all(r.converged for r in reports):
+        raise ConvergenceError(reports)
     return out, reports
 
 
@@ -236,7 +240,7 @@ def solve_row(system: AbsorbingSystem, t: int, tol: float = DEFAULT_TOL) -> tupl
     D - A_TT is symmetric, so row t of (D - A_TT)^-1 b is y'b with y = (D - A_TT)^-1 e_t:
     one PCG column, then one sum per column of b, and no dim x l solution. y[u] is the
     expected visits to u of a walk from t over u's degree: the absorbed walk's Green's
-    function (Doyle & Snell 1984).
+    function (Doyle & Snell 1984). Raises ConvergenceError if that column misses tol.
     """
     e_t = Compressed(np.array([0, 1]), np.array([t], dtype=np.int32), np.ones(1), (system.dim, 1))
     y, (report,) = solve_iterative_all(replace(system, b=e_t), tol=tol)

@@ -340,9 +340,14 @@ def test_affinity_csv_bytes_match_per_value_formatting(monkeypatch):
         assert "v1,0,1,1e-12\n" in expected and "v2,0,1,0.333333333\n" in expected
 
 
-def test_affinity_csv_bytes_independent_of_jobs(monkeypatch):
-    # three 1024-row chunks, formatted in worker processes, and a label that
-    # must be quoted: the bytes equal those written in one process
+def test_in_memory_affinity_csv_starts_no_pool(monkeypatch):
+    # only a spilled answer is formatted in a pool: an AffinityMatrix of three 1024-row
+    # chunks, one label quoted, is written in this process at jobs 3, with the bytes of jobs 1
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
     monkeypatch.setattr(detect, "CHUNK", (3 + 8) * 1024)
     k = 2100
     labels = path_graph(k).labels
@@ -351,16 +356,18 @@ def test_affinity_csv_bytes_independent_of_jobs(monkeypatch):
     rng = np.random.default_rng(71)
     values = np.vstack([np.eye(1, 3), rng.random((k, 3)) * 1.2 - 0.1, np.eye(1, 3, 1)])
     aff = AffinityMatrix(values, np.arange(1, k + 1))
-    serial, pooled = io.StringIO(), io.StringIO()
-    write_affinity_csv(aff, g, serial, jobs=1)
-    write_affinity_csv(aff, g, pooled, jobs=2)
+    serial, serial_crisp, pooled, pooled_crisp = io.StringIO(), io.StringIO(), io.StringIO(), io.StringIO()
+    write_affinity_csv(aff, g, serial, jobs=1, crisp=serial_crisp)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    write_affinity_csv(aff, g, pooled, jobs=3, crisp=pooled_crisp)
     assert pooled.getvalue() == serial.getvalue()
+    assert pooled_crisp.getvalue() == serial_crisp.getvalue()
     assert '\n"x,""y",' in serial.getvalue()
 
 
 def test_affinity_csv_chunks_carry_only_their_rows(monkeypatch):
     # 50 rows of 3 affinities in chunks of 66 // (3 + 8) = 6 rows: eight full chunks and
-    # a short last one, each task holding only its own rows and labels
+    # a short last one, each formatted with only its own rows and labels
     k, l = 48, 3
     labels = path_graph(k).labels
     labels[40] = 'x,"y'
@@ -369,24 +376,21 @@ def test_affinity_csv_chunks_carry_only_their_rows(monkeypatch):
     whole = io.StringIO()
     monkeypatch.setattr(detect, "CHUNK", g.n * (l + 8))
     write_affinity_csv(aff, g, whole)
-    calls, pool_map = [], detect.pool_map
+    calls, format_rows = [], detect._format_rows
 
-    def spy(fn, tasks, jobs, shared=()):
-        tasks = list(tasks)
-        calls.append((tasks, shared))
-        return pool_map(fn, tasks, jobs, shared)
+    def spy(values, labels):
+        calls.append((len(values), len(labels)))
+        return format_rows(values, labels)
 
     monkeypatch.setattr(detect, "CHUNK", 66)
-    monkeypatch.setattr(detect, "pool_map", spy)
-    for jobs in (1, 2, 3):
+    monkeypatch.setattr(detect, "_format_rows", spy)
+    for jobs in (1, 3):
+        calls.clear()
         buf = io.StringIO()
         write_affinity_csv(aff, g, buf, jobs=jobs)
         assert buf.getvalue() == whole.getvalue()
+        assert calls == [(6, 6)] * 8 + [(2, 2)]
     assert '\n"x,""y",' in whole.getvalue()
-    for tasks, shared in calls:
-        assert shared == ()
-        assert [len(values) for values, _ in tasks] == [6] * 8 + [2]
-        assert all(len(labels) == len(values) for values, labels in tasks)
 
 
 @pytest.mark.parametrize(
@@ -405,7 +409,8 @@ def test_affinity_csv_holds_one_chunk_at_a_time(l, chunks, jobs):
     # or the cell's 16-byte keep mask and the kept text, then the text twice, and a
     # row's label and newline weigh about as much as eight values, so the peak is
     # bounded by CHUNK alone, not by n x l. Nor by the number of chunks: each chunk's
-    # label slice is taken only shortly before its turn, here or in a pool
+    # label slice is taken only shortly before its turn, here or, for an answer spilled
+    # to a file (node 0 a seed, the other rows one solved block), in a pool
     class Discard:
         def write(self, text):
             pass
@@ -416,13 +421,21 @@ def test_affinity_csv_holds_one_chunk_at_a_time(l, chunks, jobs):
 
     n = chunks * detect.CHUNK // (l + 8)
     g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-    aff = AffinityMatrix(np.random.default_rng(79).random((n, l)), np.arange(n))
-    tracemalloc.start()
-    try:
-        write_affinity_csv(aff, g, Discard(), jobs=jobs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    values = np.random.default_rng(79).random((n, l))
+    with tempfile.TemporaryFile() as fh:
+        if jobs == 1:
+            aff = AffinityMatrix(values, np.arange(n))
+        else:
+            fh.write(values[1:])
+            fh.flush()
+            seeds = SeedSet(np.zeros(1, np.int64), values[:1])
+            aff = detect.SpilledAffinities(fh, 0, [np.arange(l)], seeds, n, np.arange(1, n), None)
+        tracemalloc.start()
+        try:
+            write_affinity_csv(aff, g, Discard(), jobs=jobs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     assert peak < 96 * detect.CHUNK
 
 

@@ -301,3 +301,36 @@ def test_seed_file_round_trip(case, data):
     expected = np.vectorize(lambda x: float(f"{x:.9g}"))(seeds.rows)
     assert np.array_equal(loaded.rows, expected[:, : loaded.l])
     assert not expected[:, loaded.l :].any()
+
+
+def test_seed_file_bytes_match_a_loop_over_every_affinity():
+    # the writer visits only each seed's nonzero affinities, and writes the bytes of a loop
+    # over all l of them: zeros, -0.0 among them, are left out, and an all-zero seed is kept
+    # on record as `label 0 0`
+    from seedwalk import SeedSet, write_seed_file
+
+    def every_affinity(seeds, g):
+        out = io.StringIO()
+        for node, row in zip(seeds.ids.tolist(), seeds.rows):
+            if not row.any():
+                out.write(f"{g.labels[node]} 0 0\n")
+                continue
+            for comm, aff in enumerate(row):
+                if aff != 0.0:
+                    out.write(f"{g.labels[node]} {comm} {aff:.9g}\n")
+        return out.getvalue()
+
+    rng = np.random.default_rng(97)
+    g = random_connected_graph(rng, 80)
+    ids = np.sort(rng.choice(g.n, size=20, replace=False))
+    rows = rng.random((ids.size, 7)) * (rng.random((ids.size, 7)) < 0.4)
+    rows[0, :3] = [1.0, 1 / 3, 1e-12]
+    rows[3] = 0.0
+    rows[5] = -0.0
+    rows[8, 6] = -0.0
+    seeds = SeedSet(ids, rows)
+    buf = io.StringIO()
+    write_seed_file(seeds, g, buf)
+    assert buf.getvalue() == every_affinity(seeds, g)
+    assert f"\n{g.labels[ids[3]]} 0 0\n{g.labels[ids[4]]} " in buf.getvalue()
+    assert f"\n{g.labels[ids[5]]} 0 0\n" in buf.getvalue()

@@ -266,6 +266,42 @@ def test_solve_is_bitwise_independent_of_jobs(jobs):
     assert reports_jobs == reports
 
 
+def test_pooled_non_convergence_raises_with_every_columns_report(monkeypatch):
+    # with PCG capped at one iteration no live column meets tol: the solve in four pooled
+    # blocks raises ConvergenceError, whose reports are those of each column solved alone,
+    # in community order (the zero column's converged at 0 iterations), and which a worker
+    # could send back pickled with the same message
+    import multiprocessing
+    import pickle
+
+    from seedwalk import ConvergenceError
+
+    pcg = solver._pcg
+
+    def one_iteration(L, diag, B, X, used, cols, tol, max_iter):
+        pcg(L, diag, B, X, used, cols, tol, 1)
+
+    monkeypatch.setattr(solver, "_pcg", one_iteration)
+    system = _multi_block_system()
+    method = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("fork", force=True)  # so the workers run the capped _pcg
+    try:
+        with pytest.raises(ConvergenceError) as exc:
+            solve_iterative_all(system, jobs=2)
+    finally:
+        multiprocessing.set_start_method(method, force=True)
+    alone = []
+    for j in range(system.communities):
+        try:
+            alone += solve_iterative_all(dataclasses.replace(system, b=_column(system.b, j)))[1]
+        except ConvergenceError as err:  # every column but the zero one
+            alone += err.reports
+    assert exc.value.reports == alone
+    assert [r.iterations for r in alone] == [int(j != BLOCK - 1) for j in range(system.communities)]
+    copy = pickle.loads(pickle.dumps(exc.value))
+    assert copy.reports == exc.value.reports and str(copy) == str(exc.value)
+
+
 def test_solve_is_bitwise_independent_of_block_width(monkeypatch):
     # the block width only groups columns, so any width gives the same bytes
     # and reports: 41 live fuzzy columns make 6, 3 and 2 blocks
